@@ -174,15 +174,15 @@ def _loss_height(h: float) -> float:
 
 
 def synthesize_direct_channel(iot: FloatingNode, rx: FloatingNode,
-                              wave: WaveField, t: float, M: int,
+                              wave: WaveField, t: float, los: bool, M: int,
                               p: PathLossParams, rng) -> np.ndarray:
-    """Direct IoT->receiver channel row (length M) for one coherence interval."""
+    """Direct IoT->receiver channel row (length M) for one coherence interval;
+    `los` is the link's sea_surface.los_state at time t."""
     if M < 1:
         raise ValueError("M must be >= 1")
     h_t = sea_surface.antenna_height(iot, wave, t)
     h_r = sea_surface.antenna_height(rx, wave, t)
     d = math.dist(iot.position, rx.position)
-    los = sea_surface.los_state(iot, rx, wave, t)
     geom = LinkGeometry(h_t=_loss_height(h_t), h_r=_loss_height(h_r), d=d, los=los)
     gain = link_gain(geom, p, rng)
     az = math.atan2(iot.position[1] - rx.position[1],

@@ -155,6 +155,7 @@ def _check_sdp_hand_instance():
     obj = optimizer.HomogenizedObjective(D=np.array([[1.0, 1.0j],
                                                      [-1.0j, 1.0]]))
     sol = optimizer.solve_sdp(obj, tol=1e-9, max_iter=20000)
+    assert sol.converged, f"gap {sol.gap} not certified"
     assert abs(sol.objective - 4.0) < 1e-5, f"objective {sol.objective}"
     q = optimizer.randomize(sol, 16, obj, np.random.default_rng(1))
     val = optimizer.reflection_objective(obj, q)

@@ -43,6 +43,8 @@ class GeometryConfig:
                      "mean_iot_count", "rx_mast_m", "iot_mast_m"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.deploy_radius_m <= self.turbine_diameter_m / 2.0:
+            raise ConfigError("deploy_radius_m must exceed the turbine radius")
         if math.dist(self.turbine_position, self.wave_source) == 0:
             raise ConfigError("wave source sits on the turbine")
 
@@ -174,7 +176,7 @@ _SCHEMA = {
                "p_max_dbw": _FLOAT},
     "estimation": {"b_subframes": int, "t_pilot_len": int, "noiseless": bool},
     "optimizer": {"sdp_tol": _FLOAT, "sdp_max_iter": int,
-                  "randomization_draws": int, "debug_dump": str},
+                  "randomization_draws": int},
 }
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,

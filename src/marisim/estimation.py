@@ -95,8 +95,8 @@ class ReflectionSchedule:
         return self.Qtilde[:, b].conj()
 
 
-def make_reflection_schedule(N: int, B: int, seed=None) -> ReflectionSchedule:
-    """Fourier schedule (deterministic; `seed` accepted for API symmetry).
+def make_reflection_schedule(N: int, B: int) -> ReflectionSchedule:
+    """Fourier schedule.
 
     Rows of the B-point Fourier matrix are orthogonal for N <= B, so the
     stage-two normal matrix is B times the identity.

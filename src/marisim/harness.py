@@ -66,21 +66,31 @@ class TrialRecord:
             raise ValueError("los_frac must lie in [0, 1]")
 
 
+# Consecutive rejected positions after which the exclusion zones are taken
+# to cover the deploy disk.
+MAX_REDRAWS = 10_000
+
+
 def deploy_iots(mean_count: float, radius: float, center, rng,
                 mast_height: float = 2.0, exclusions=()) -> list:
     """Poisson-count IoT buoys uniform on a disk, re-drawing any position
-    that lands inside an exclusion circle (turbine hull, receiver buoy)."""
+    that lands inside an exclusion circle (turbine hull, receiver buoy).
+
+    Raises ConfigError after MAX_REDRAWS consecutive rejections."""
     if not mean_count > 0 or not radius > 0:
         raise ValueError("mean_count and radius must be positive")
     count = int(rng.poisson(mean_count))
     nodes = []
     for _ in range(count):
-        while True:
+        for _ in range(MAX_REDRAWS):
             r = radius * math.sqrt(rng.uniform())
             ang = rng.uniform(0.0, 2.0 * math.pi)
             pos = (center[0] + r * math.cos(ang), center[1] + r * math.sin(ang))
             if all(math.dist(pos, c) >= excl_r for c, excl_r in exclusions):
                 break
+        else:
+            raise ConfigError(f"exclusion zones cover the deploy disk: "
+                              f"{MAX_REDRAWS} positions in a row rejected")
         nodes.append(FloatingNode(position=pos, mast_height=mast_height))
     return nodes
 
@@ -154,7 +164,7 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     Hd = np.zeros((cfg.radio.m_antennas, count), dtype=complex)
     G = []
     for i, iot in enumerate(iots):
-        row = channel.synthesize_direct_channel(iot, rx, wave, t,
+        row = channel.synthesize_direct_channel(iot, rx, wave, t, flags[i],
                                                 cfg.radio.m_antennas, p, rng)
         Hd[:, i] = row.conj()
         h_r = channel.ris_incident_vector(iot, ris, wave, t, p, rng)

@@ -1,14 +1,18 @@
-"""RIS phase optimization: homogenized objective, SDP relaxation via ADMM
-splitting, Gaussian randomization, and a brute-force oracle.
+"""RIS phase optimization: homogenized objective, SDP relaxation solved in
+low-rank factored form with a dual certificate, Gaussian randomization, and
+a brute-force oracle.
 
 The quadratic uplink objective over a unit-modulus reflection row q is
 homogenized with an auxiliary coordinate into v = [q, 1], giving the pure
 form v D v^H with D Hermitian PSD.  The relaxation drops rank-1, leaving
-max Tr(DV) over Hermitian V with unit diagonal and V PSD.
+max Tr(DV) over Hermitian V with unit diagonal and V PSD.  It is solved over
+V = U U^H with a thin U by the generalized power method, and every solve
+reports the gap to a dual bound, so an uncertified result is visible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +39,15 @@ class HomogenizedObjective:
 
 @dataclass(frozen=True, eq=False)
 class SdpSolution:
-    V: np.ndarray
-    objective: float
+    U: np.ndarray       # (N+1, r) factor with unit rows
+    objective: float    # Tr(DV)
+    gap: float          # certified dual bound minus objective
     iterations: int
-    primal_residual: float
-    dual_residual: float
-    converged: bool
+    converged: bool     # gap <= tol * |objective|
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.U @ self.U.conj().T
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,10 @@ class OptimizerConfig:
     sdp_tol: float = 1e-6
     sdp_max_iter: int = 5000
     randomization_draws: int = 100
-    debug_dump: str | None = None
+
+    def __post_init__(self):
+        if self.sdp_max_iter < 1 or self.randomization_draws < 1:
+            raise ValueError("sdp_max_iter and randomization_draws must be >= 1")
 
 
 def build_D(Hd: np.ndarray, G, P_t) -> HomogenizedObjective:
@@ -87,91 +97,59 @@ def reflection_objective(obj: HomogenizedObjective, q) -> float:
 
 def solve_sdp(obj: HomogenizedObjective, tol: float = 1e-6,
               max_iter: int = 5000) -> SdpSolution:
-    """Maximize Tr(DV) s.t. diag(V) = 1, V PSD, by ADMM operator splitting.
+    """Maximize Tr(DV) s.t. diag(V) = 1, V PSD, over V = U U^H.
 
-    One iterate carries the affine (unit-diagonal) constraint, the other is
-    projected onto the PSD cone by eigenvalue truncation; a scaled dual links
-    them.  D is normalized so tol acts on O(1) iterates; the PSD-side iterate
-    is returned, making the PSD invariant exact and the diagonal within the
-    primal residual of 1.
+    U has unit rows, so V is always feasible, and r >= sqrt(2n) columns, for
+    which second-order critical points are optimal (Boumal, Voroninski &
+    Bandeira 2016).  Each iteration is the generalized power step
+    U <- row-normalize(D U) (Burer & Monteiro 2003), ascending for PSD D.
+    When the objective stalls, at iterations at least doubling apart, the
+    dual point y = lam - min(0, lambda_min(diag(lam) - D)), lam_i = Re(DV)_ii,
+    is formed: diag(y) - D is PSD, so sum(y) bounds the optimum for any
+    Hermitian D.  `converged` means sum(y) - Tr(DV) <= tol * |Tr(DV)|.
     """
-    n = obj.D.shape[0]
-    scale = float(np.linalg.norm(obj.D)) / n
-    if scale == 0.0:
-        scale = 1.0
-    Dn = obj.D / scale
-    # Direct-dominated instances concentrate Dn in one corner entry of
-    # magnitude up to n; starting rho at that magnitude keeps the first
-    # V-update O(1), else the PSD projection overshoots and the dual can
-    # pin W at zero for tens of iterations.
-    rho = max(1.0, float(np.max(np.abs(Dn))))
-    rho_min, rho_max = 1e-3 * rho, 1e6 * rho
-    W = np.eye(n, dtype=complex)
-    dual = np.zeros((n, n), dtype=complex)
-    primal = dual_res = np.inf
-    iterations = 0
-    converged = False
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    D = obj.D
+    n = D.shape[0]
+    r = min(n, math.ceil(math.sqrt(2 * n)) + 1)
+    init = np.random.default_rng(0)     # fixed start, not the trial RNG
+    U = init.standard_normal((n, r)) + 1j * init.standard_normal((n, r))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    value = -np.inf
+    next_check = 1
     for k in range(1, max_iter + 1):
-        iterations = k
-        V = W - dual + Dn / rho
-        V = 0.5 * (V + V.conj().T)
-        np.fill_diagonal(V, 1.0)
-        W_prev = W
-        evals, evecs = np.linalg.eigh(V + dual)
-        np.maximum(evals, 0.0, out=evals)
-        W = (evecs * evals) @ evecs.conj().T
-        W = 0.5 * (W + W.conj().T)
-        dual += V - W
-        primal = float(np.max(np.abs(V - W)))
-        dual_res = float(rho * np.max(np.abs(W - W_prev)))
-        if primal < tol and dual_res < tol:
-            converged = True
-            break
-        if k % 10 == 0:  # residual balancing keeps rho useful across scales
-            if primal > 10.0 * dual_res and rho < rho_max:
-                rho *= 2.0
-                dual /= 2.0
-            elif dual_res > 10.0 * primal and rho > rho_min:
-                rho /= 2.0
-                dual *= 2.0
-    objective = float(np.real(np.sum(obj.D * W.conj())))
-    return SdpSolution(V=W, objective=objective, iterations=iterations,
-                       primal_residual=primal, dual_residual=dual_res,
-                       converged=converged)
+        DU = D @ U
+        lam = np.real(np.sum(DU * U.conj(), axis=1))   # Re(DV)_ii
+        value, previous = float(np.sum(lam)), value
+        if k == max_iter or (k >= next_check
+                             and value - previous <= tol * abs(value)):
+            gap = -n * min(0.0, float(np.linalg.eigvalsh(np.diag(lam) - D)[0]))
+            if gap <= tol * abs(value) or k == max_iter:
+                break
+            next_check = 2 * k
+        norms = np.linalg.norm(DU, axis=1, keepdims=True)
+        U = np.divide(DU, norms, out=U, where=norms > 0)  # zero rows stay
+    return SdpSolution(U=U, objective=value, gap=gap, iterations=k,
+                       converged=bool(gap <= tol * abs(value)))
 
 
 def randomize(sol: SdpSolution, R: int, obj: HomogenizedObjective, rng) -> np.ndarray:
-    """Best-of-R Gaussian rounding of the relaxed solution to unit modulus."""
+    """Best-of-R Gaussian rounding of the relaxed solution to unit modulus.
+
+    Draws v = U e with e ~ CN(0, I_r), so E[v v^H] = V; all-ones is kept
+    unless a draw beats it.
+    """
     if R < 1:
         raise ValueError("need at least one draw")
-    evals, evecs = np.linalg.eigh(sol.V)
-    np.maximum(evals, 0.0, out=evals)  # solver tolerance can leave tiny < 0
-    A = evecs * np.sqrt(evals)
-    n = sol.V.shape[0]
-    best_q = np.ones(n - 1, dtype=complex)
-    best_val = reflection_objective(obj, best_q)
-    # Rank-one case aside, the top eigenvector is a strong deterministic
-    # candidate and keeps the rounding sane when the solver iterate is poor.
-    v = evecs[:, -1]
-    if abs(v[-1]) > 0.0:
-        q = np.exp(1j * np.angle(v[:-1].conj() * v[-1]))
-        val = reflection_objective(obj, q)
-        if val > best_val:
-            best_val = val
-            best_q = q
-    for _ in range(R):
-        e = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        v = A @ e
-        if abs(v[-1]) == 0.0:
-            continue
-        # v samples the column convention E[v v^H] = V; the row-form phases
-        # of [q, 1] follow from the conjugated ratio against the last entry.
-        q = np.exp(1j * np.angle(v[:-1].conj() * v[-1]))
-        val = reflection_objective(obj, q)
-        if val > best_val:
-            best_val = val
-            best_q = q
-    return best_q
+    n, r = sol.U.shape
+    E = (rng.standard_normal((R, r)) + 1j * rng.standard_normal((R, r))) / np.sqrt(2.0)
+    Vs = E @ sol.U.T                                       # (R, n) draws
+    # the row-form phases of [q, 1] follow from the conjugated ratio of the
+    # column-convention draw against its last entry
+    W = np.vstack([np.ones(n), np.exp(1j * np.angle(Vs.conj() * Vs[:, -1:]))])
+    vals = np.real(np.sum((W @ obj.D) * W.conj(), axis=1))
+    return W[int(np.argmax(vals)), :-1]
 
 
 def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng,
@@ -188,10 +166,6 @@ def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng,
         capacity = snap.beta * float(np.log2(1.0 + obj.D[0, 0].real / snap.sigma2))
         return (ones, capacity, None) if return_solution else (ones, capacity)
     sol = solve_sdp(obj, cfg.sdp_tol, cfg.sdp_max_iter)
-    if cfg.debug_dump:
-        np.savez(cfg.debug_dump, D=obj.D, V=sol.V,
-                 residuals=np.array([sol.primal_residual, sol.dual_residual]),
-                 iterations=sol.iterations)
     q_rand = randomize(sol, cfg.randomization_draws, obj, rng)
     # The +/- pair of any candidate averages to at least the direct-only
     # power, so including sign flips certifies RIS-on >= RIS-off.

@@ -30,7 +30,12 @@ from marisim.channel import (
     ula_steering_phases,
 )
 from marisim.ris_system import make_planar_ris
-from marisim.sea_surface import FloatingNode, sea_state, wave_from_sea_state
+from marisim.sea_surface import (
+    FloatingNode,
+    los_state,
+    sea_state,
+    wave_from_sea_state,
+)
 
 P = PathLossParams()
 
@@ -140,7 +145,7 @@ def fixture_scene():
 
 def test_direct_channel_row_shape_and_magnitude():
     wave, iot, rx, _ = fixture_scene()
-    row = synthesize_direct_channel(iot, rx, wave, 1.0, 8,
+    row = synthesize_direct_channel(iot, rx, wave, 1.0, True, 8,
                                     PathLossParams(sigma_los=0.0,
                                                    sigma_nlos=0.0),
                                     np.random.default_rng(0))
@@ -152,7 +157,8 @@ def test_direct_channel_row_shape_and_magnitude():
 def test_direct_channel_survives_a_submerged_antenna():
     wave, _, rx, _ = fixture_scene()
     buried = FloatingNode((60.0, 20.0), 1e-6)  # mast far below the amplitude
-    row = synthesize_direct_channel(buried, rx, wave, 2.0, 4, P,
+    row = synthesize_direct_channel(buried, rx, wave, 2.0,
+                                    los_state(buried, rx, wave, 2.0), 4, P,
                                     np.random.default_rng(1))
     assert np.all(np.isfinite(row))
 

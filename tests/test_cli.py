@@ -127,6 +127,17 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "missing.ini")]) == 1
 
 
+def test_exclusions_covering_the_deploy_disk_exit_1(tmp_path, capsys):
+    # the receiver's exclusion zone (the NLoS reference distance) swallows
+    # the whole deploy disk, so no IoT position can ever be accepted
+    path = tmp_path / "covered.ini"
+    path.write_text(TINY_INI.replace("n_elements = 8",
+                                     "n_elements = 8\nd_0_m = 1000"))
+    assert main(["sweep", "--config", str(path), "--var", "hr0",
+                 "--values", "5", "--trials", "3", "--seed", "1"]) == 1
+    assert "exclusion zones cover the deploy disk" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_2(capsys):
     # sea states 0-1 define no wave period, so no LoS geometry exists
     assert main(["los-prob", "--states", "0", "--heights", "2",

@@ -49,6 +49,9 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         GeometryConfig(mean_iot_count=0.0)
     with pytest.raises(ConfigError):
+        GeometryConfig(deploy_radius_m=3.0)  # inside the 6 m turbine hull
+    assert GeometryConfig(deploy_radius_m=3.5).deploy_radius_m == 3.5
+    with pytest.raises(ConfigError):
         RadioConfig(beta_hz=0.0)
     with pytest.raises(ConfigError):
         RadioConfig(m_antennas=0)
@@ -128,6 +131,10 @@ def test_load_config_rejections(tmp_path):
         "bad_bool.ini": "[estimation]\nnoiseless = maybe\n",
         "bad_state.ini": "[scenario]\nsea_state = 1\n",
         "bad_height.ini": "[geometry]\nris_height_m = 10\n",
+        "removed_key.ini": "[optimizer]\ndebug_dump = state.npz\n",
+        "deploy_in_hull.ini": "[geometry]\ndeploy_radius_m = 2\n",
+        "no_draws.ini": "[optimizer]\nrandomization_draws = 0\n",
+        "no_iterations.ini": "[optimizer]\nsdp_max_iter = 0\n",
     }
     for name, text in cases.items():
         path = tmp_path / name

@@ -75,6 +75,10 @@ def test_deployment_exclusion_zones_and_validation():
         deploy_iots(0.0, 200.0, (0.0, 0.0), rng)
     with pytest.raises(ValueError):
         deploy_iots(4.0, -1.0, (0.0, 0.0), rng)
+    # a zone covering the whole disk rejects every draw: give up, not hang
+    with pytest.raises(ConfigError, match="cover the deploy disk"):
+        deploy_iots(50.0, 10.0, (0.0, 0.0), rng,
+                    exclusions=(((3.0, 0.0), 20.0),))
 
 
 def test_interval_record_is_internally_consistent():
