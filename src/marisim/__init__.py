@@ -49,10 +49,7 @@ from .ris_system import (
     aligned_capacity_bound,
     combined_channel,
     direct_capacity,
-    load_snapshot,
     make_planar_ris,
-    received_signal,
-    save_snapshot,
     sum_capacity,
 )
 from .estimation import (

@@ -139,15 +139,12 @@ def _check_estimation_exact():
     snap = _random_instance(rng, N=6, M=2, I=2)
     pilots = estimation.make_orthogonal_pilots(2, 2, snap.P_t)
     sched = estimation.make_reflection_schedule(6, 6)
-    Y0 = estimation.simulate_pilot_rx(snap, sched.q0, pilots, None)
-    Y1 = estimation.simulate_pilot_rx(snap, sched.q1, pilots, None)
-    Yb = [estimation.simulate_pilot_rx(snap, sched.scheduled_reflection(b),
-                                       pilots, None) for b in range(sched.B)]
-    Hd_hat = estimation.estimate_direct(Y0, Y1, pilots)
-    G_hat = estimation.estimate_cascaded(Yb, pilots, Hd_hat, sched)
+    Y = estimation.simulate_pilot_rx(snap, sched.reflections, pilots, None)
+    Hd_hat = estimation.estimate_direct(Y[0], Y[1], pilots)
+    G_hat = estimation.estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
     err_h = np.linalg.norm(Hd_hat - snap.H_d) / np.linalg.norm(snap.H_d)
-    err_g = max(np.linalg.norm(G_hat[i] - snap.G[i]) / np.linalg.norm(snap.G[i])
-                for i in range(2))
+    err_g = np.max(np.linalg.norm(G_hat - snap.G, axis=(1, 2))
+                   / np.linalg.norm(snap.G, axis=(1, 2)))
     assert err_h < 1e-9 and err_g < 1e-9, f"errors {err_h:.2e}, {err_g:.2e}"
 
 
@@ -167,9 +164,8 @@ def _check_objective_identity():
     snap = _random_instance(rng, N=5, M=3, I=2)
     obj = optimizer.build_D(snap.H_d, snap.G, snap.P_t)
     q = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-    direct = sum(snap.P_t[i] * np.sum(np.abs(
-        ris_system.combined_channel(snap.direct_row(i), q, snap.G[i])) ** 2)
-        for i in range(2))
+    rows = ris_system.combined_channel(snap.direct_rows, q, snap.G)
+    direct = np.sum(snap.P_t * np.sum(np.abs(rows) ** 2, axis=1))
     val = optimizer.reflection_objective(obj, q)
     assert abs(val - direct) <= 1e-9 * abs(direct), f"{val} vs {direct}"
 

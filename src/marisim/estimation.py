@@ -2,12 +2,15 @@
 
 Stage one cancels the RIS path with a +/- reflection pair and solves for the
 direct channels; stage two sweeps B >= N scheduled reflections and solves for
-each cascaded channel.
+the cascaded channels.  All B + 2 reflections are sounded as one (B + 2, N)
+stack, giving (B + 2, T, M) received blocks, and stage two returns the
+cascaded channels of all I IoTs as one (I, N, M) tensor from a single solve
+of the schedule's normal equations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +42,6 @@ class PilotBook:
     def I(self) -> int:
         return self.S.shape[1]
 
-    def pilot_row(self, i: int) -> np.ndarray:
-        """The 1 x T pilot sequence s_i."""
-        return self.S[:, i].conj()
-
 
 def make_orthogonal_pilots(I: int, T: int, powers) -> PilotBook:
     """Fourier pilot book scaled so s_i s_i^H = P_i * T."""
@@ -60,10 +59,14 @@ def make_orthogonal_pilots(I: int, T: int, powers) -> PilotBook:
 @dataclass(frozen=True, eq=False)
 class ReflectionSchedule:
     """Reflection plan: the +/- pair (q0, q1) plus B scheduled reflections
-    stored column-wise in Qtilde (N x B, column b = q_b^H)."""
+    stored column-wise in Qtilde (N x B, column b = q_b^H).
+
+    The stage-two normal matrix Qtilde Qtilde^H is formed and checked for
+    rank here; a rank-deficient plan raises np.linalg.LinAlgError."""
 
     q0: np.ndarray
     Qtilde: np.ndarray
+    normal: np.ndarray = field(init=False, repr=False)   # (N, N)
 
     def __post_init__(self):
         q0 = np.asarray(self.q0, dtype=complex)
@@ -75,8 +78,12 @@ class ReflectionSchedule:
         for arr in (q0, Qt):
             if np.max(np.abs(np.abs(arr) - 1.0)) > 1e-9:
                 raise ValueError("reflections must be unit modulus")
+        normal = Qt @ Qt.conj().T
+        if np.linalg.cond(normal) > 1e12:
+            raise np.linalg.LinAlgError("reflection schedule is rank deficient")
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "Qtilde", Qt)
+        object.__setattr__(self, "normal", normal)
 
     @property
     def q1(self) -> np.ndarray:
@@ -94,6 +101,12 @@ class ReflectionSchedule:
         """The 1 x N reflection row used in sub-frame b."""
         return self.Qtilde[:, b].conj()
 
+    @property
+    def reflections(self) -> np.ndarray:
+        """All (B + 2, N) reflection rows in sounding order: q0, q1, then
+        the B scheduled reflections."""
+        return np.vstack([self.q0, self.q1, self.Qtilde.T.conj()])
+
 
 def make_reflection_schedule(N: int, B: int) -> ReflectionSchedule:
     """Fourier schedule.
@@ -110,17 +123,20 @@ def make_reflection_schedule(N: int, B: int) -> ReflectionSchedule:
 
 
 def simulate_pilot_rx(snap: NetworkSnapshot, q, pilots: PilotBook, rng=None) -> np.ndarray:
-    """Received pilot block (T x M) under reflection q; rng None disables noise."""
+    """Received pilot blocks under reflection q: (T, M) for one reflection,
+    (K, T, M) for a (K, N) stack.  rng None disables noise.
+
+    Each block's noise is drawn as its real then its imaginary (T, M) part,
+    in stack order, so a stack uses rng exactly as K single calls do.
+    """
     if pilots.I != snap.I:
         raise ValueError("pilot book and snapshot disagree on IoT count")
-    combined = np.zeros((snap.I, snap.M), dtype=complex)
-    for i in range(snap.I):
-        combined[i] = combined_channel(snap.direct_row(i), q, snap.G[i])
+    combined = combined_channel(snap.direct_rows, q, snap.G)   # (..., I, M)
     Y = pilots.S @ combined
     if rng is not None:
         scale = np.sqrt(snap.sigma2 / 2.0)
-        Y = Y + scale * (rng.standard_normal(Y.shape)
-                         + 1j * rng.standard_normal(Y.shape))
+        z = rng.standard_normal(Y.shape[:-2] + (2,) + Y.shape[-2:])
+        Y = Y + scale * (z[..., 0, :, :] + 1j * z[..., 1, :, :])
     return Y
 
 
@@ -133,30 +149,23 @@ def estimate_direct(Y0: np.ndarray, Y1: np.ndarray, pilots: PilotBook) -> np.nda
 
 
 def estimate_cascaded(Yb, pilots: PilotBook, Hd_hat: np.ndarray,
-                      sched: ReflectionSchedule):
-    """LS cascaded-channel estimates, one N x M matrix per IoT.
+                      sched: ReflectionSchedule) -> np.ndarray:
+    """LS cascaded-channel estimates of all IoTs as one (I, N, M) tensor,
+    from the (B, T, M) blocks received under the scheduled reflections.
 
-    Per-IoT projections are normalized by the pilot energy P_i * T so the
-    noiseless reconstruction is exact.
+    Each IoT's projection is normalized by its pilot energy P_i * T so the
+    noiseless reconstruction is exact; the I * M projected columns share one
+    solve of the schedule's normal equations.
     """
-    Yb = [np.asarray(Y, dtype=complex) for Y in Yb]
-    if len(Yb) != sched.B:
+    Yb = np.asarray(Yb, dtype=complex)
+    if Yb.ndim != 3 or Yb.shape[0] != sched.B:
         raise ValueError("need one received block per scheduled reflection")
-    Qt = sched.Qtilde
-    normal = Qt @ Qt.conj().T
-    if np.linalg.cond(normal) > 1e12:
-        raise np.linalg.LinAlgError("reflection schedule is rank deficient")
-    direct_part = pilots.S @ np.asarray(Hd_hat, dtype=complex).conj().T
-    resid = [Y - direct_part for Y in Yb]
-    out = []
-    for i in range(pilots.I):
-        s_i = pilots.pilot_row(i)
-        energy = pilots.powers[i] * pilots.T
-        u = np.array([s_i @ r for r in resid]) / energy   # (B, M) rows u_{i,b}
-        U = u.conj().T                                    # (M, B)
-        Gh_H = np.linalg.solve(normal, (U @ Qt.conj().T).conj().T).conj().T
-        out.append(Gh_H.conj().T)
-    return out
+    resid = Yb - pilots.S @ np.asarray(Hd_hat, dtype=complex).conj().T
+    # u[b, i] = s_i r_b / (P_i T), the row IoT i sees in sub-frame b
+    u = pilots.S.conj().T @ resid / (pilots.powers * pilots.T)[:, None]
+    B, I, M = u.shape
+    G = np.linalg.solve(sched.normal, sched.Qtilde @ u.reshape(B, I * M))
+    return G.reshape(sched.N, I, M).transpose(1, 0, 2)
 
 
 def pilot_overhead_symbols(B: int, T: int) -> int:

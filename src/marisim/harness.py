@@ -162,34 +162,26 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     # per interval, shared by every IoT's cascade
     F = channel.ris_departure_matrix(ris, rx, wave, t, cfg.radio.m_antennas, p, rng)
     Hd = np.zeros((cfg.radio.m_antennas, count), dtype=complex)
-    G = []
+    G = np.empty((count, N, cfg.radio.m_antennas), dtype=complex)
     for i, iot in enumerate(iots):
         row = channel.synthesize_direct_channel(iot, rx, wave, t, flags[i],
                                                 cfg.radio.m_antennas, p, rng)
         Hd[:, i] = row.conj()
         h_r = channel.ris_incident_vector(iot, ris, wave, t, p, rng)
-        G.append(channel.cascade(h_r, F))
-    snap = ris_system.NetworkSnapshot(H_d=Hd, G=tuple(G), P_t=powers,
+        G[i] = channel.cascade(h_r, F)
+    snap = ris_system.NetworkSnapshot(H_d=Hd, G=G, P_t=powers,
                                       sigma2=sigma2, beta=cfg.radio.beta_hz)
 
     pilots = estimation.make_orthogonal_pilots(count, T, powers)
     sched = estimation.make_reflection_schedule(N, B)
     noise_rng = None if cfg.estimation.noiseless else rng
-    Y0 = estimation.simulate_pilot_rx(snap, sched.q0, pilots, noise_rng)
-    Y1 = estimation.simulate_pilot_rx(snap, sched.q1, pilots, noise_rng)
-    Yb = [estimation.simulate_pilot_rx(snap, sched.scheduled_reflection(b),
-                                       pilots, noise_rng)
-          for b in range(B)]
-    Hd_hat = estimation.estimate_direct(Y0, Y1, pilots)
-    try:
-        G_hat = estimation.estimate_cascaded(Yb, pilots, Hd_hat, sched)
-    except np.linalg.LinAlgError:
-        rec = _zero_record(cfg, interval_idx, positions, powers, flags, overhead)
-        return dataclasses.replace(rec, hd_error=_relative_error(Hd_hat, Hd),
-                                   rank_failure=True)
+    Y = estimation.simulate_pilot_rx(snap, sched.reflections, pilots, noise_rng)
+    Hd_hat = estimation.estimate_direct(Y[0], Y[1], pilots)
+    G_hat = estimation.estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
+    del sched, Y   # free the N x N schedule arrays before the solver runs
 
-    snap_est = ris_system.NetworkSnapshot(H_d=Hd_hat, G=tuple(G_hat),
-                                          P_t=powers, sigma2=sigma2,
+    snap_est = ris_system.NetworkSnapshot(H_d=Hd_hat, G=G_hat, P_t=powers,
+                                          sigma2=sigma2,
                                           beta=cfg.radio.beta_hz)
     q_star, _, sol = optimizer.optimize_phases(snap_est, cfg.optimizer, rng,
                                                return_solution=True)
@@ -200,7 +192,7 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
         interval_idx=interval_idx, sea_state=cfg.sea_state,
         positions=positions, powers=powers, los_flags=flags,
         hd_error=_relative_error(Hd_hat, Hd),
-        g_error=_relative_error(np.stack(G_hat), np.stack(G)),
+        g_error=_relative_error(G_hat, G),
         c_ris=c_ris, c_noris=c_noris,
         rate_ris=overhead * c_ris, rate_noris=overhead * c_noris,
         los_frac=float(np.mean(flags)), tx_power_w=P_tx, overhead=overhead,

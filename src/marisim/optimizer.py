@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ris_system import NetworkSnapshot
+from .ris_system import NetworkSnapshot, combined_channel
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,29 +62,28 @@ class OptimizerConfig:
 
 
 def build_D(Hd: np.ndarray, G, P_t) -> HomogenizedObjective:
-    """Block matrix of the homogenized objective from channels and powers."""
+    """Block matrix of the homogenized objective from channels and powers.
+
+    With W_i = [G_i; h_i], h_i the conjugated column i of Hd, IoT i's power
+    ||h_i + q G_i||^2 is [q, 1] W_i W_i^H [q, 1]^H, so D = sum_i P_i W_i W_i^H.
+    """
     Hd = np.asarray(Hd, dtype=complex)
+    G = np.asarray(G, dtype=complex)   # ragged input raises here
     P_t = np.asarray(P_t, dtype=float)
     if Hd.ndim != 2:
         raise ValueError("Hd must be M x I")
     M, I = Hd.shape
-    if len(G) != I or P_t.shape != (I,):
-        raise ValueError("need one cascaded matrix and one power per IoT")
+    if G.ndim != 3 or G.shape[0] != I or G.shape[2] != M:
+        raise ValueError("G must be I x N x M")
+    if P_t.shape != (I,):
+        raise ValueError("need one power per IoT")
     if np.any(P_t < 0):
         raise ValueError("powers must be non-negative")
-    N = np.asarray(G[0]).shape[0] if I else 0
-    D = np.zeros((N + 1, N + 1), dtype=complex)
-    for i in range(I):
-        Gi = np.asarray(G[i], dtype=complex)
-        if Gi.shape != (N, M):
-            raise ValueError("each cascaded matrix must be N x M")
-        # capacities pair the conjugated direct row with q G_i, so the
-        # cross block takes the raw column: q G_i h_i + c.c.
-        hi = Hd[:, i]
-        D[:N, :N] += P_t[i] * (Gi @ Gi.conj().T)
-        D[:N, N] += P_t[i] * (Gi @ hi)
-        D[N, N] += P_t[i] * float(np.real(hi.conj() @ hi))
-    D[N, :N] = D[:N, N].conj()
+    N = G.shape[1]
+    W = np.concatenate([G, Hd.T.conj()[:, None, :]], axis=1)   # (I, N+1, M)
+    W = W.transpose(1, 0, 2).reshape(N + 1, I * M)
+    # P_i weights one factor only, so scaling the powers scales D exactly
+    D = (W * np.repeat(P_t, M)) @ W.conj().T
     D = 0.5 * (D + D.conj().T)
     return HomogenizedObjective(D=D)
 
@@ -198,11 +197,8 @@ def brute_force_phases(snap: NetworkSnapshot, levels: int):
     for start in range(0, total, _BRUTE_FORCE_CHUNK):
         idx = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total))
         digits = (idx[:, None] // levels ** np.arange(N)[None, :]) % levels
-        Q = phases[digits]                      # (K, N)
-        val = np.zeros(len(idx))
-        for i in range(snap.I):
-            rows = snap.direct_row(i)[None, :] + Q @ snap.G[i]
-            val += snap.P_t[i] * np.sum(np.abs(rows) ** 2, axis=1)
+        rows = combined_channel(snap.direct_rows, phases[digits], snap.G)
+        val = np.sum(np.abs(rows) ** 2, axis=-1) @ snap.P_t
         k = int(np.argmax(val))
         if val[k] > best_val:
             best_val = float(val[k])

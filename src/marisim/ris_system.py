@@ -2,12 +2,14 @@
 
 Row-vector convention throughout: a direct channel h_d is a length-M row,
 a reflection q is a length-N unit-modulus row, and a cascaded channel G is
-N x M, so the combined channel is h_d + q @ G.
+N x M, so the combined channel is h_d + q @ G.  A snapshot keeps all I
+cascaded channels as one (I, N, M) tensor and the direct rows as (I, M), so
+one contraction forms every IoT's combined channel under one reflection or
+under a (K, N) stack of reflections at once.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -70,23 +72,22 @@ class NetworkSnapshot:
     """One coherence interval's channels, powers, and radio constants."""
 
     H_d: np.ndarray        # (M, I); column i is the conjugated direct row
-    G: tuple               # I cascaded matrices, each (N, M)
+    G: np.ndarray          # (I, N, M); G[i] is IoT i's cascaded channel
     P_t: np.ndarray        # (I,) transmit powers, W
     sigma2: float
     beta: float
 
     def __post_init__(self):
         H_d = np.asarray(self.H_d, dtype=complex)
-        G = tuple(np.asarray(g, dtype=complex) for g in self.G)
+        G = np.asarray(self.G, dtype=complex)   # ragged input raises here
         P_t = np.asarray(self.P_t, dtype=float)
         if H_d.ndim != 2:
             raise ValueError("H_d must be M x I")
         M, I = H_d.shape
-        if len(G) != I or P_t.shape != (I,):
-            raise ValueError("need one cascaded matrix and one power per IoT")
-        for g in G:
-            if g.ndim != 2 or g.shape[1] != M or g.shape[0] != G[0].shape[0]:
-                raise ValueError("each cascaded matrix must be N x M")
+        if G.ndim != 3 or G.shape[0] != I or G.shape[2] != M:
+            raise ValueError("G must be I x N x M")
+        if P_t.shape != (I,):
+            raise ValueError("need one power per IoT")
         if np.any(P_t < 0):
             raise ValueError("powers must be non-negative")
         if self.sigma2 <= 0 or self.beta <= 0:
@@ -105,16 +106,17 @@ class NetworkSnapshot:
 
     @property
     def N(self) -> int:
-        return self.G[0].shape[0] if self.G else 0
+        return self.G.shape[1]
 
-    def direct_row(self, i: int) -> np.ndarray:
-        """The 1 x M direct channel row of IoT i."""
-        return self.H_d[:, i].conj()
+    @property
+    def direct_rows(self) -> np.ndarray:
+        """The I x M direct channel rows; row i belongs to IoT i."""
+        return self.H_d.T.conj()
 
 
 def _check_unit_modulus(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=complex)
-    if q.ndim != 1:
+    if q.ndim < 1:
         raise ValueError("reflection must be a length-N vector")
     if q.size and np.max(np.abs(np.abs(q) - 1.0)) > UNIT_MODULUS_TOL:
         raise ValueError("reflection entries must be unit modulus")
@@ -122,92 +124,40 @@ def _check_unit_modulus(q: np.ndarray) -> np.ndarray:
 
 
 def combined_channel(h_d: np.ndarray, q: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Effective channel row h_d + q @ G."""
+    """Effective channel rows h_d + q G.
+
+    q is one reflection (N,) or a stack (..., N). G is one N x M matrix with
+    h_d of shape (M,), or the (I, N, M) tensor with h_d of shape (I, M). The
+    result has shape q.shape[:-1] + h_d.shape.
+    """
     q = _check_unit_modulus(q)
     h_d = np.asarray(h_d, dtype=complex)
     G = np.asarray(G, dtype=complex)
-    if G.shape != (q.size, h_d.size):
-        raise ValueError("G must be N x M")
-    return h_d + q @ G
+    if (G.ndim not in (2, 3) or G.shape[-2] != q.shape[-1]
+            or G.shape[:-2] + G.shape[-1:] != h_d.shape):
+        raise ValueError("G must be N x M or I x N x M, matching h_d and q")
+    return h_d + np.tensordot(q, G, axes=(-1, -2))
 
 
-def received_signal(snap: NetworkSnapshot, q, s, z) -> np.ndarray:
-    """Superimposed uplink symbols through the combined channels, plus noise."""
-    s = np.asarray(s, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    if s.shape != (snap.I,) or z.shape != (snap.M,):
-        raise ValueError("need I symbols and an M-entry noise row")
-    if np.any(np.abs(s) ** 2 > snap.P_t * (1.0 + 1e-9) + 1e-12):
-        raise ValueError("symbol power exceeds the transmit budget")
-    out = z.copy()
-    for i in range(snap.I):
-        out += combined_channel(snap.direct_row(i), q, snap.G[i]) * s[i]
-    return out
-
-
-def _combined_power(snap: NetworkSnapshot, q) -> float:
-    total = 0.0
-    for i in range(snap.I):
-        c = combined_channel(snap.direct_row(i), q, snap.G[i])
-        total += snap.P_t[i] * float(np.sum(np.abs(c) ** 2))
-    return total
+def _capacity(snap: NetworkSnapshot, rows: np.ndarray) -> float:
+    """beta log2(1 + sum_i P_i ||row_i||^2 / sigma2) over (I, M) rows."""
+    power = float(np.sum(snap.P_t * np.sum(np.abs(rows) ** 2, axis=-1)))
+    return snap.beta * math.log2(1.0 + power / snap.sigma2)
 
 
 def sum_capacity(snap: NetworkSnapshot, q) -> float:
     """Uplink sum capacity (bit/s) under reflection q."""
-    return snap.beta * math.log2(1.0 + _combined_power(snap, q) / snap.sigma2)
+    return _capacity(snap, combined_channel(snap.direct_rows, q, snap.G))
 
 
 def direct_capacity(snap: NetworkSnapshot) -> float:
     """Sum capacity with the RIS term deleted (direct channels only)."""
-    total = sum(snap.P_t[i] * float(np.sum(np.abs(snap.direct_row(i)) ** 2))
-                for i in range(snap.I))
-    return snap.beta * math.log2(1.0 + total / snap.sigma2)
+    return _capacity(snap, snap.direct_rows)
 
 
 def aligned_capacity_bound(snap: NetworkSnapshot) -> float:
     """Perfect-phase-alignment capacity; defined for M = 1 only."""
     if snap.M != 1:
         raise ValueError("bound defined for single-antenna receiver")
-    total = 0.0
-    for i in range(snap.I):
-        h = snap.direct_row(i)[0]
-        aligned = abs(h) + float(np.sum(np.abs(snap.G[i][:, 0])))
-        total += snap.P_t[i] * aligned ** 2
-    return snap.beta * math.log2(1.0 + total / snap.sigma2)
-
-
-def _complex_to_pairs(a: np.ndarray):
-    return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
-
-
-def _pairs_to_complex(d) -> np.ndarray:
-    return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-
-
-def save_snapshot(snap: NetworkSnapshot, path) -> None:
-    """Write a snapshot as JSON with complex entries stored as re/im pairs."""
-    doc = {
-        "M": snap.M, "N": snap.N, "I": snap.I,
-        "sigma2": snap.sigma2, "beta": snap.beta,
-        "P_t": snap.P_t.tolist(),
-        "H_d": _complex_to_pairs(snap.H_d),
-        "G": [_complex_to_pairs(g) for g in snap.G],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_snapshot(path) -> NetworkSnapshot:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    snap = NetworkSnapshot(
-        H_d=_pairs_to_complex(doc["H_d"]),
-        G=tuple(_pairs_to_complex(g) for g in doc["G"]),
-        P_t=np.asarray(doc["P_t"], dtype=float),
-        sigma2=float(doc["sigma2"]),
-        beta=float(doc["beta"]),
-    )
-    if [snap.M, snap.N, snap.I] != [doc["M"], doc["N"], doc["I"]]:
-        raise ValueError(f"{path}: stored dimensions disagree with arrays")
-    return snap
+    aligned = np.abs(snap.direct_rows[:, 0]) + np.sum(np.abs(snap.G[:, :, 0]), axis=1)
+    return _capacity(snap, aligned[:, None])

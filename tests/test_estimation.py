@@ -28,12 +28,10 @@ def random_snapshot(rng, N, M, I, sigma2=1.0):
 def run_pipeline(snap, B, T, noise_rng=None):
     pilots = make_orthogonal_pilots(snap.I, T, snap.P_t)
     sched = make_reflection_schedule(snap.N, B)
-    Y0 = simulate_pilot_rx(snap, sched.q0, pilots, noise_rng)
-    Y1 = simulate_pilot_rx(snap, sched.q1, pilots, noise_rng)
-    Yb = [simulate_pilot_rx(snap, sched.scheduled_reflection(b), pilots,
-                            noise_rng) for b in range(B)]
-    Hd_hat = estimate_direct(Y0, Y1, pilots)
-    G_hat = estimate_cascaded(Yb, pilots, Hd_hat, sched)
+    Y = simulate_pilot_rx(snap, sched.reflections, pilots, noise_rng)
+    Hd_hat = estimate_direct(Y[0], Y[1], pilots)
+    G_hat = estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
+    assert G_hat.shape == (snap.I, snap.N, snap.M)
     return Hd_hat, G_hat
 
 
@@ -44,8 +42,6 @@ def test_pilot_book_orthogonality():
     S = pilots.S
     gram = S.conj().T @ S
     assert gram == pytest.approx(np.diag(powers * 5), abs=1e-12)
-    for i in range(3):
-        assert pilots.pilot_row(i) == pytest.approx(S[:, i].conj())
 
 
 def test_pilot_book_requires_enough_symbols():
@@ -63,6 +59,9 @@ def test_reflection_schedule_structure():
         q = sched.scheduled_reflection(b)
         assert np.abs(q) == pytest.approx(np.ones(6))
         assert q == pytest.approx(sched.Qtilde[:, b].conj())
+        assert np.array_equal(sched.reflections[b + 2], q)
+    assert np.array_equal(sched.reflections[:2], [sched.q0, sched.q1])
+    assert sched.normal == pytest.approx(9.0 * np.eye(6), abs=1e-12)
     with pytest.raises(ValueError):
         make_reflection_schedule(6, 5)   # fewer sub-frames than elements
 
@@ -108,18 +107,35 @@ def test_noise_perturbs_but_tracks_the_truth():
 
 
 def test_rank_deficient_schedule_is_reported():
-    rng = np.random.default_rng(12)
-    snap = random_snapshot(rng, N=3, M=2, I=2)
-    pilots = make_orthogonal_pilots(2, 2, snap.P_t)
-    degenerate = ReflectionSchedule(q0=np.ones(3, dtype=complex),
-                                    Qtilde=np.ones((3, 4), dtype=complex))
-    Yb = [simulate_pilot_rx(snap, degenerate.scheduled_reflection(b), pilots)
-          for b in range(4)]
-    Hd_hat = estimate_direct(
-        simulate_pilot_rx(snap, degenerate.q0, pilots),
-        simulate_pilot_rx(snap, degenerate.q1, pilots), pilots)
     with pytest.raises(np.linalg.LinAlgError):
-        estimate_cascaded(Yb, pilots, Hd_hat, degenerate)
+        ReflectionSchedule(q0=np.ones(3, dtype=complex),
+                           Qtilde=np.ones((3, 4), dtype=complex))
+
+
+def test_stacked_sounding_equals_single_calls():
+    """A (K, N) stack of reflections gives the K blocks of K single calls,
+    and draws the noise in the same order from the same generator."""
+    rng = np.random.default_rng(14)
+    snap = random_snapshot(rng, N=5, M=2, I=3)
+    pilots = make_orthogonal_pilots(3, 4, snap.P_t)
+    Q = make_reflection_schedule(5, 7).reflections
+    Y = simulate_pilot_rx(snap, Q, pilots)
+    assert Y.shape == (9, 4, 2)
+    for k in range(9):
+        assert np.allclose(Y[k], simulate_pilot_rx(snap, Q[k], pilots),
+                           rtol=1e-12, atol=1e-12)
+    # integer channels and quarter-turn reflections make every product
+    # exact, so stacked and single calls must agree to the bit
+    G = rng.integers(-4, 5, (3, 5, 2)) + 1j * rng.integers(-4, 5, (3, 5, 2))
+    exact = NetworkSnapshot(H_d=rng.integers(-4, 5, (2, 3)), G=G,
+                            P_t=snap.P_t, sigma2=0.5, beta=1.0)
+    Q = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, (6, 5))]
+    for seed in (None, 15):
+        stack_rng = None if seed is None else np.random.default_rng(seed)
+        single_rng = None if seed is None else np.random.default_rng(seed)
+        Y = simulate_pilot_rx(exact, Q, pilots, stack_rng)
+        singles = [simulate_pilot_rx(exact, q, pilots, single_rng) for q in Q]
+        assert np.array_equal(Y, np.stack(singles))
 
 
 def test_pilot_rx_rejects_mismatched_book():

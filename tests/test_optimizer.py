@@ -41,12 +41,13 @@ def test_build_d_shape_and_hermitian_psd():
 def test_build_d_validation():
     rng = np.random.default_rng(1)
     snap = random_snapshot(rng, N=4, M=2, I=2)
-    with pytest.raises(ValueError):
-        build_D(snap.H_d, snap.G[:1], snap.P_t)
+    # ragged matrices, and tensors whose I, N or M disagrees with Hd
+    for G in ((snap.G[0], snap.G[1].T), snap.G[:1], snap.G[..., :1],
+              snap.G.transpose(0, 2, 1), snap.G[0]):
+        with pytest.raises(ValueError):
+            build_D(snap.H_d, G, snap.P_t)
     with pytest.raises(ValueError):
         build_D(snap.H_d, snap.G, -snap.P_t)
-    with pytest.raises(ValueError):
-        build_D(snap.H_d, (snap.G[0], snap.G[1].T), snap.P_t)
     with pytest.raises(ValueError):
         HomogenizedObjective(D=np.array([[1.0, 2.0], [3.0, 1.0]]))
 

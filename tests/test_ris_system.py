@@ -1,4 +1,4 @@
-"""RIS layout, network snapshots, capacity expressions, serialization."""
+"""RIS layout, network snapshots, combined channels, capacity expressions."""
 
 import math
 
@@ -13,10 +13,7 @@ from marisim.ris_system import (
     aligned_capacity_bound,
     combined_channel,
     direct_capacity,
-    load_snapshot,
     make_planar_ris,
-    received_signal,
-    save_snapshot,
     sum_capacity,
 )
 
@@ -65,8 +62,10 @@ def test_ris_config_validation():
 def test_snapshot_dimensions_and_direct_row():
     snap = random_snapshot(np.random.default_rng(0))
     assert (snap.M, snap.I, snap.N) == (3, 2, 5)
+    assert snap.G.shape == (2, 5, 3)
+    assert snap.direct_rows.shape == (2, 3)
     for i in range(snap.I):
-        assert snap.direct_row(i) == pytest.approx(snap.H_d[:, i].conj())
+        assert snap.direct_rows[i] == pytest.approx(snap.H_d[:, i].conj())
 
 
 def test_snapshot_validation():
@@ -81,17 +80,38 @@ def test_snapshot_validation():
     with pytest.raises(ValueError):
         NetworkSnapshot(H_d=good.H_d, G=good.G, P_t=good.P_t,
                         sigma2=0.0, beta=1.0)
-    with pytest.raises(ValueError):
-        NetworkSnapshot(H_d=good.H_d, G=(good.G[0], good.G[1][:3]),
-                        P_t=good.P_t, sigma2=1.0, beta=1.0)
+    # ragged matrices, and tensors whose I, N or M disagrees with H_d
+    for G in ((good.G[0], good.G[1][:3]), good.G[:1], good.G[..., :2],
+              good.G.transpose(0, 2, 1), good.G[0]):
+        with pytest.raises(ValueError):
+            NetworkSnapshot(H_d=good.H_d, G=G, P_t=good.P_t, sigma2=1.0,
+                            beta=1.0)
 
 
 def test_combined_channel_rejects_non_unit_reflections():
     rng = np.random.default_rng(2)
     snap = random_snapshot(rng)
     with pytest.raises(ValueError):
-        combined_channel(snap.direct_row(0), 2.0 * unit_q(rng, snap.N),
-                         snap.G[0])
+        combined_channel(snap.direct_rows, 2.0 * unit_q(rng, snap.N), snap.G)
+
+
+def test_combined_channel_over_the_tensor_matches_per_iot_rows():
+    rng = np.random.default_rng(8)
+    snap = random_snapshot(rng, N=6, M=3, I=4)
+    Q = np.stack([unit_q(rng, snap.N) for _ in range(5)])
+    rows = combined_channel(snap.direct_rows, Q, snap.G)
+    assert rows.shape == (5, snap.I, snap.M)
+    for k in range(5):
+        assert np.allclose(combined_channel(snap.direct_rows, Q[k], snap.G),
+                           rows[k], rtol=1e-12, atol=0.0)
+        for i in range(snap.I):
+            want = snap.direct_rows[i] + Q[k] @ snap.G[i]
+            assert np.allclose(combined_channel(snap.direct_rows[i], Q[k],
+                                                snap.G[i]),
+                               want, rtol=1e-12, atol=0.0)
+            assert np.allclose(rows[k, i], want, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError):
+        combined_channel(snap.direct_rows[0], Q, snap.G)   # h_d is one row
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -102,8 +122,7 @@ def test_capacity_matches_quadratic_objective(seed):
     q = unit_q(rng, snap.N)
     obj = build_D(snap.H_d, snap.G, snap.P_t)
     direct = sum(snap.P_t[i] * np.sum(np.abs(
-        combined_channel(snap.direct_row(i), q, snap.G[i])) ** 2)
-        for i in range(snap.I))
+        snap.direct_rows[i] + q @ snap.G[i]) ** 2) for i in range(snap.I))
     assert reflection_objective(obj, q) == pytest.approx(direct, rel=1e-9)
     assert sum_capacity(snap, q) == pytest.approx(
         snap.beta * math.log2(1.0 + direct / snap.sigma2), rel=1e-12)
@@ -111,7 +130,7 @@ def test_capacity_matches_quadratic_objective(seed):
 
 def test_direct_capacity_drops_the_ris_term():
     snap = random_snapshot(np.random.default_rng(3))
-    total = sum(snap.P_t[i] * np.sum(np.abs(snap.direct_row(i)) ** 2)
+    total = sum(snap.P_t[i] * np.sum(np.abs(snap.direct_rows[i]) ** 2)
                 for i in range(snap.I))
     assert direct_capacity(snap) == pytest.approx(
         snap.beta * math.log2(1.0 + total / snap.sigma2), rel=1e-12)
@@ -122,7 +141,7 @@ def test_aligned_bound_single_antenna_only():
     snap = random_snapshot(rng, N=4, M=1, I=2)
     total = 0.0
     for i in range(snap.I):
-        aligned = abs(snap.direct_row(i)[0]) + np.sum(np.abs(snap.G[i][:, 0]))
+        aligned = abs(snap.H_d[0, i]) + np.sum(np.abs(snap.G[i][:, 0]))
         total += snap.P_t[i] * aligned ** 2
     assert aligned_capacity_bound(snap) == pytest.approx(
         snap.beta * math.log2(1.0 + total / snap.sigma2), rel=1e-12)
@@ -136,29 +155,3 @@ def test_aligned_bound_dominates_any_reflection():
     bound = aligned_capacity_bound(snap)
     for _ in range(50):
         assert sum_capacity(snap, unit_q(rng, snap.N)) <= bound + 1e-12
-
-
-def test_received_signal_linearity():
-    rng = np.random.default_rng(6)
-    snap = random_snapshot(rng)
-    q = unit_q(rng, snap.N)
-    s = rng.standard_normal(snap.I) + 1j * rng.standard_normal(snap.I)
-    s *= np.sqrt(snap.P_t) / np.abs(s)      # per-IoT symbol power P_i
-    z = np.zeros(snap.M, dtype=complex)
-    y = received_signal(snap, q, s, z)
-    expect = sum(s[i] * combined_channel(snap.direct_row(i), q, snap.G[i])
-                 for i in range(snap.I))
-    assert y == pytest.approx(expect)
-    with pytest.raises(ValueError):
-        received_signal(snap, q, 2.0 * s, z)   # over the power budget
-
-
-def test_snapshot_roundtrip_is_exact(tmp_path):
-    snap = random_snapshot(np.random.default_rng(7))
-    path = tmp_path / "snap.json"
-    save_snapshot(snap, path)
-    back = load_snapshot(path)
-    assert np.array_equal(back.H_d, snap.H_d)
-    assert all(np.array_equal(a, b) for a, b in zip(back.G, snap.G))
-    assert np.array_equal(back.P_t, snap.P_t)
-    assert (back.sigma2, back.beta) == (snap.sigma2, snap.beta)
