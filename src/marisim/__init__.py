@@ -11,18 +11,12 @@ from .sea_surface import (
     SeaState,
     WaveField,
     antenna_height,
-    blocking_angle,
-    elevation_angle,
-    heave_direction,
-    load_sea_state_table,
     los_probability,
     los_state,
-    nearest_peak,
     sea_state,
     wave_from_sea_state,
 )
 from .channel import (
-    ComplexGain,
     LinkGeometry,
     PathLossParams,
     cascade,
@@ -32,9 +26,7 @@ from .channel import (
     path_loss_los,
     path_loss_nlos,
     pow2db,
-    received_power,
     synthesize_direct_channel,
-    synthesize_ris_channels,
     two_ray_boundary,
 )
 from .energy import (

@@ -82,22 +82,6 @@ class LinkGeometry:
             raise ValueError("antenna heights must be finite")
 
 
-@dataclass(frozen=True)
-class ComplexGain:
-    amplitude: float
-    phase: float  # radians in [0, 2pi)
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
-        if not 0.0 <= self.phase < 2.0 * np.pi:
-            raise ValueError("phase must lie in [0, 2pi)")
-
-    @property
-    def value(self) -> complex:
-        return self.amplitude * complex(np.cos(self.phase), np.sin(self.phase))
-
-
 def _floored_log_arg(x: float) -> float:
     global _clamp_hits
     if x < LOG_ARG_FLOOR:
@@ -140,11 +124,6 @@ def path_loss_free_space(d: float, f_c: float) -> float:
     return -147.55 + 20.0 * math.log10(f_c) + 20.0 * math.log10(d)
 
 
-def received_power(P_t: float, L: float, p: PathLossParams) -> float:
-    """Receive power in dB units: P_t + G_t - L + G_r."""
-    return P_t + p.G_t - L + p.G_r
-
-
 def draw_shadowing(sigma: float, rng) -> float:
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
@@ -153,15 +132,16 @@ def draw_shadowing(sigma: float, rng) -> float:
     return float(rng.normal(0.0, sigma))
 
 
-def link_gain(geom: LinkGeometry, p: PathLossParams, rng) -> ComplexGain:
-    """Complex field coefficient for one link, drawing fresh shadowing."""
+def link_gain(geom: LinkGeometry, p: PathLossParams, rng) -> tuple[float, float]:
+    """(amplitude, phase in [0, 2pi)) of one link's field coefficient,
+    drawing fresh shadowing."""
     if geom.los:
         L = path_loss_los(geom, p, draw_shadowing(p.sigma_los, rng))
         phase = float(np.mod(-2.0 * np.pi * geom.d / p.lam, 2.0 * np.pi))
     else:
         L = path_loss_nlos(geom.d, p, draw_shadowing(p.sigma_nlos, rng))
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
-    return ComplexGain(amplitude=10.0 ** ((p.G_t - L + p.G_r) / 20.0), phase=phase)
+    return 10.0 ** ((p.G_t - L + p.G_r) / 20.0), phase
 
 
 def ula_steering_phases(M: int, azimuth: float) -> np.ndarray:
@@ -184,10 +164,10 @@ def synthesize_direct_channel(iot: FloatingNode, rx: FloatingNode,
     h_r = sea_surface.antenna_height(rx, wave, t)
     d = math.dist(iot.position, rx.position)
     geom = LinkGeometry(h_t=_loss_height(h_t), h_r=_loss_height(h_r), d=d, los=los)
-    gain = link_gain(geom, p, rng)
+    amplitude, phase = link_gain(geom, p, rng)
     az = math.atan2(iot.position[1] - rx.position[1],
                     iot.position[0] - rx.position[0])
-    return gain.amplitude * np.exp(1j * (gain.phase + ula_steering_phases(M, az)))
+    return amplitude * np.exp(1j * (phase + ula_steering_phases(M, az)))
 
 
 def _aperture_phases(element_positions: np.ndarray, center: np.ndarray,
@@ -230,15 +210,6 @@ def ris_departure_matrix(ris, rx: FloatingNode, wave: WaveField, t: float,
     az = math.atan2(center[1] - rx.position[1], center[0] - rx.position[0])
     steer = ula_steering_phases(M, az)
     return amp * np.exp(1j * (element[:, None] + steer[None, :]))
-
-
-def synthesize_ris_channels(iot: FloatingNode, ris, rx: FloatingNode,
-                            wave: WaveField, t: float, M: int,
-                            p: PathLossParams, rng):
-    """Both RIS segments for one IoT: (incident vector, departure matrix)."""
-    h_r = ris_incident_vector(iot, ris, wave, t, p, rng)
-    F = ris_departure_matrix(ris, rx, wave, t, M, p, rng)
-    return h_r, F
 
 
 def cascade(h_r: np.ndarray, F: np.ndarray) -> np.ndarray:

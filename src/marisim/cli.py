@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import channel, energy, estimation, harness, optimizer, ris_system
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, _as_int, load_config
 from .sea_surface import sea_state
 
 
@@ -104,7 +104,9 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_los_prob(cfg: ScenarioConfig, args) -> int:
-    states = [int(v) for v in _parse_values(args.states)]
+    states = [_as_int(v, "sea state") for v in _parse_values(args.states)]
+    if min(states) < 0:
+        raise ConfigError("sea states must be >= 0")
     heights = _parse_values(args.heights)
     if args.samples < 1:
         raise ConfigError("samples must be >= 1")

@@ -132,7 +132,7 @@ SWEEP_VARIABLES = ("hr0", "n", "pmax", "sea")
 
 
 def _as_int(value, what: str) -> int:
-    if float(value) != int(float(value)):
+    if not float(value).is_integer():   # also rejects nan and inf
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(float(value))
 

@@ -1,16 +1,20 @@
 """Two-stage least-squares channel estimation with RIS reflection scheduling.
 
-Stage one cancels the RIS path with a +/- reflection pair and solves for the
-direct channels; stage two sweeps B >= N scheduled reflections and solves for
+Stage one cancels the RIS path with a +/- reflection pair and estimates the
+direct channels; stage two sweeps B >= N scheduled reflections and estimates
 the cascaded channels.  All B + 2 reflections are sounded as one (B + 2, N)
-stack, giving (B + 2, T, M) received blocks, and stage two returns the
-cascaded channels of all I IoTs as one (I, N, M) tensor from a single solve
-of the schedule's normal equations.
+stack, giving (B + 2, T, M) received blocks.
+
+The pilot book and the reflection schedule can only be built as Fourier
+matrices, so S^H S = diag(P_i T) and Qtilde Qtilde^H = B I hold by
+construction and both LS stages are matched filters: no Gram or normal
+matrix is formed or solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,83 +23,67 @@ from .ris_system import NetworkSnapshot, combined_channel
 
 @dataclass(frozen=True, eq=False)
 class PilotBook:
-    """Orthogonal pilots: S is T x I with column i equal to s_i^H."""
+    """Fourier pilots of length T, one per IoT: S is T x I with column i
+    equal to s_i^H = sqrt(P_i) exp(2 pi j k i / T), so S^H S = diag(P_i T)."""
 
-    S: np.ndarray
+    T: int
     powers: np.ndarray
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=complex)
-        powers = np.asarray(self.powers, dtype=float)
-        if S.ndim != 2 or S.shape[0] < S.shape[1]:
-            raise ValueError("pilot matrix must be T x I with T >= I")
-        if powers.shape != (S.shape[1],):
+        powers = np.array(self.powers, dtype=float)
+        if powers.ndim != 1:
             raise ValueError("need one pilot power per IoT")
-        object.__setattr__(self, "S", S)
+        if self.T < powers.size:
+            raise ValueError("pilot length shorter than IoT count")
+        if np.any(powers <= 0):
+            raise ValueError("pilot powers must be positive")
         object.__setattr__(self, "powers", powers)
 
     @property
-    def T(self) -> int:
-        return self.S.shape[0]
-
-    @property
     def I(self) -> int:
-        return self.S.shape[1]
+        return self.powers.size
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        k = np.arange(self.T)[:, None]
+        i = np.arange(self.I)[None, :]
+        return np.sqrt(self.powers) * np.exp(2j * np.pi * k * i / self.T)
 
 
 def make_orthogonal_pilots(I: int, T: int, powers) -> PilotBook:
-    """Fourier pilot book scaled so s_i s_i^H = P_i * T."""
-    if T < I:
-        raise ValueError("pilot length shorter than IoT count")
-    powers = np.broadcast_to(np.asarray(powers, dtype=float), (I,)).copy()
-    if np.any(powers <= 0):
-        raise ValueError("pilot powers must be positive")
-    k = np.arange(T)[:, None]
-    i = np.arange(I)[None, :]
-    S = np.sqrt(powers) * np.exp(2j * np.pi * k * i / T)
-    return PilotBook(S=S, powers=powers)
+    """Fourier pilot book for I IoTs; powers is a scalar or one per IoT."""
+    return PilotBook(T, np.broadcast_to(np.asarray(powers, dtype=float), (I,)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ReflectionSchedule:
-    """Reflection plan: the +/- pair (q0, q1) plus B scheduled reflections
-    stored column-wise in Qtilde (N x B, column b = q_b^H).
+    """Fourier reflection plan over N elements and B >= N sub-frames: the
+    +/- pair (q0, q1) = (1, -1) plus B scheduled reflections stored
+    column-wise in Qtilde (N x B, column b = q_b^H).
 
-    The stage-two normal matrix Qtilde Qtilde^H is formed and checked for
-    rank here; a rank-deficient plan raises np.linalg.LinAlgError."""
+    Rows of the B-point Fourier matrix are orthogonal for N <= B, so
+    Qtilde Qtilde^H = B I."""
 
-    q0: np.ndarray
-    Qtilde: np.ndarray
-    normal: np.ndarray = field(init=False, repr=False)   # (N, N)
+    N: int
+    B: int
 
     def __post_init__(self):
-        q0 = np.asarray(self.q0, dtype=complex)
-        Qt = np.asarray(self.Qtilde, dtype=complex)
-        if q0.ndim != 1 or Qt.ndim != 2 or Qt.shape[0] != q0.size:
-            raise ValueError("Qtilde must be N x B")
-        if Qt.shape[1] < Qt.shape[0]:
-            raise ValueError("need B >= N scheduled reflections")
-        for arr in (q0, Qt):
-            if np.max(np.abs(np.abs(arr) - 1.0)) > 1e-9:
-                raise ValueError("reflections must be unit modulus")
-        normal = Qt @ Qt.conj().T
-        if np.linalg.cond(normal) > 1e12:
-            raise np.linalg.LinAlgError("reflection schedule is rank deficient")
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "Qtilde", Qt)
-        object.__setattr__(self, "normal", normal)
+        if self.B < self.N:
+            raise ValueError("full-rank estimation needs B >= N")
+
+    @property
+    def q0(self) -> np.ndarray:
+        return np.ones(self.N, dtype=complex)
 
     @property
     def q1(self) -> np.ndarray:
         return -self.q0
 
-    @property
-    def N(self) -> int:
-        return self.Qtilde.shape[0]
-
-    @property
-    def B(self) -> int:
-        return self.Qtilde.shape[1]
+    @cached_property
+    def Qtilde(self) -> np.ndarray:
+        n = np.arange(self.N)[:, None]
+        b = np.arange(self.B)[None, :]
+        return np.exp(-2j * np.pi * n * b / self.B)
 
     def scheduled_reflection(self, b: int) -> np.ndarray:
         """The 1 x N reflection row used in sub-frame b."""
@@ -109,17 +97,8 @@ class ReflectionSchedule:
 
 
 def make_reflection_schedule(N: int, B: int) -> ReflectionSchedule:
-    """Fourier schedule.
-
-    Rows of the B-point Fourier matrix are orthogonal for N <= B, so the
-    stage-two normal matrix is B times the identity.
-    """
-    if B < N:
-        raise ValueError("full-rank estimation needs B >= N")
-    n = np.arange(N)[:, None]
-    b = np.arange(B)[None, :]
-    return ReflectionSchedule(q0=np.ones(N, dtype=complex),
-                              Qtilde=np.exp(-2j * np.pi * n * b / B))
+    """Fourier schedule of B sub-frames for an N-element RIS."""
+    return ReflectionSchedule(N, B)
 
 
 def simulate_pilot_rx(snap: NetworkSnapshot, q, pilots: PilotBook, rng=None) -> np.ndarray:
@@ -141,10 +120,10 @@ def simulate_pilot_rx(snap: NetworkSnapshot, q, pilots: PilotBook, rng=None) -> 
 
 
 def estimate_direct(Y0: np.ndarray, Y1: np.ndarray, pilots: PilotBook) -> np.ndarray:
-    """LS direct-channel estimate (M x I) from the +/- reflection pair."""
-    S = pilots.S
-    gram = S.conj().T @ S
-    Hd_H = 0.5 * np.linalg.solve(gram, S.conj().T @ (np.asarray(Y0) + np.asarray(Y1)))
+    """LS direct-channel estimate (M x I) from the +/- reflection pair:
+    Hd^H = S^H (Y0 + Y1) / (2 P_i T)."""
+    Y = np.asarray(Y0) + np.asarray(Y1)
+    Hd_H = pilots.S.conj().T @ Y / (2.0 * pilots.powers * pilots.T)[:, None]
     return Hd_H.conj().T
 
 
@@ -153,9 +132,8 @@ def estimate_cascaded(Yb, pilots: PilotBook, Hd_hat: np.ndarray,
     """LS cascaded-channel estimates of all IoTs as one (I, N, M) tensor,
     from the (B, T, M) blocks received under the scheduled reflections.
 
-    Each IoT's projection is normalized by its pilot energy P_i * T so the
-    noiseless reconstruction is exact; the I * M projected columns share one
-    solve of the schedule's normal equations.
+    Each IoT's projection is normalized by its pilot energy P_i * T, and
+    the schedule's normal matrix is B I, so G = Qtilde u / B.
     """
     Yb = np.asarray(Yb, dtype=complex)
     if Yb.ndim != 3 or Yb.shape[0] != sched.B:
@@ -164,7 +142,7 @@ def estimate_cascaded(Yb, pilots: PilotBook, Hd_hat: np.ndarray,
     # u[b, i] = s_i r_b / (P_i T), the row IoT i sees in sub-frame b
     u = pilots.S.conj().T @ resid / (pilots.powers * pilots.T)[:, None]
     B, I, M = u.shape
-    G = np.linalg.solve(sched.normal, sched.Qtilde @ u.reshape(B, I * M))
+    G = sched.Qtilde @ u.reshape(B, I * M) / B
     return G.reshape(sched.N, I, M).transpose(1, 0, 2)
 
 

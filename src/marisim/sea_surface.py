@@ -8,7 +8,6 @@ the two antennas.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 
@@ -18,10 +17,6 @@ GRAVITY = 9.81  # m/s^2
 
 # Far enough away that wave fronts are locally planar over a ~1 km site.
 DEFAULT_WAVE_SOURCE = (-10_000.0, 0.0)
-
-UPWARDS = "upwards"
-DOWNWARDS = "downwards"
-
 
 @dataclass(frozen=True)
 class SeaState:
@@ -60,54 +55,17 @@ BUILTIN_SEA_STATES = (
 )
 
 
-def sea_state(level, table=None) -> SeaState:
+def sea_state(level) -> SeaState:
     """Look up a sea-state row by level (0..8, ">8", or any int above 8)."""
-    rows = BUILTIN_SEA_STATES if table is None else table
-    for row in rows:
+    for row in BUILTIN_SEA_STATES:
         if row.level == level:
             return row
     if isinstance(level, (int, np.integer)) and level >= 0:
         folded = "0-1" if level <= 1 else ">8"
-        for row in rows:
+        for row in BUILTIN_SEA_STATES:
             if row.level == folded:
                 return row
     raise KeyError(f"unknown sea state {level!r}")
-
-
-_TABLE_KEYS = {"height_range_m", "height_mean_m", "period_range_s", "period_mean_s"}
-
-
-def load_sea_state_table(path) -> tuple[SeaState, ...]:
-    """Read a replacement sea-state table from an INI-style key=value file."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise OSError(f"cannot read sea-state table {path}")
-    rows = []
-    for section in parser.sections():
-        if not section.startswith("state "):
-            raise ValueError(f"{path}: unexpected section [{section}]")
-        raw_level = section[len("state "):].strip()
-        level: int | str = int(raw_level) if raw_level.lstrip("-").isdigit() else raw_level
-        keys = set(parser[section])
-        unknown = keys - _TABLE_KEYS
-        if unknown:
-            raise ValueError(f"{path}: unknown keys {sorted(unknown)} in [{section}]")
-        get = parser[section].get
-
-        def pair(text):
-            lo, hi = (float(v) for v in text.split(","))
-            return (lo, hi)
-
-        rows.append(SeaState(
-            level=level,
-            height_range=pair(get("height_range_m")),
-            height_mean=float(get("height_mean_m")),
-            period_range=pair(get("period_range_s")) if get("period_range_s") else None,
-            period_mean=float(get("period_mean_s")) if get("period_mean_s") else None,
-        ))
-    if not rows:
-        raise ValueError(f"{path}: no [state ...] sections found")
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -178,41 +136,12 @@ def antenna_height(node: FloatingNode, wave: WaveField, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def heave_direction(node: FloatingNode, wave: WaveField, t) -> str:
-    """"upwards" while the buoy rises (cos of the wave phase >= 0)."""
-    return UPWARDS if np.cos(_wave_phase(node, wave, t)) >= 0.0 else DOWNWARDS
-
-
 def _peak_shift(a, l, phase):
     # Rising buoy has the crest (a - delta)/(4a) wavelengths ahead of it,
     # falling buoy the complement; delta is the vertical displacement.
     delta = a * np.sin(phase)
     frac = (a - delta) / (4.0 * a)
     return np.where(np.cos(phase) >= 0.0, l * frac, l * (1.0 - frac))
-
-
-def nearest_peak(node: FloatingNode, wave: WaveField, t):
-    """Closest wave crest, displaced from the buoy along the travel direction."""
-    if wave.a == 0:
-        raise ValueError("flat sea has no peaks")
-    shift = _peak_shift(wave.a, wave.l, _wave_phase(node, wave, t))
-    ux, uy = _source_unit(node, wave)
-    return np.stack([node.position[0] + shift * ux,
-                     node.position[1] + shift * uy], axis=-1)
-
-
-def elevation_angle(tx_h: float, rx_h: float, horizontal_dist: float) -> float:
-    """Signed elevation from the Tx antenna towards the Rx antenna."""
-    if horizontal_dist <= 0:
-        raise ValueError("co-located nodes")
-    return math.atan((rx_h - tx_h) / horizontal_dist)
-
-
-def blocking_angle(peer_h: float, a: float, dist_peer_to_peak: float) -> float:
-    """Elevation of the peer antenna seen from a wave crest of height a."""
-    if dist_peer_to_peak <= 0:
-        raise ValueError("peer sits on the wave peak")
-    return math.atan((peer_h - a) / dist_peer_to_peak)
 
 
 def _los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):

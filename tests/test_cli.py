@@ -113,6 +113,10 @@ def test_pathloss_table_stdout(capsys):
     ["sweep", "--var", "hr0", "--values", "5", "--seed", "-1"],
     ["pathloss", "--d-min", "300", "--d-max", "100"],
     ["los-prob", "--samples", "0"],
+    ["los-prob", "--states", "-1"],                   # negative sea state
+    ["los-prob", "--states", "3.5"],                  # non-integer sea state
+    ["los-prob", "--states", "nan"],
+    ["sweep", "--var", "n", "--values", "inf"],
 ])
 def test_usage_and_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1

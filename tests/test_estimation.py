@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from marisim.estimation import (
     PilotBook,
-    ReflectionSchedule,
     estimate_cascaded,
     estimate_direct,
     make_orthogonal_pilots,
@@ -48,6 +47,10 @@ def test_pilot_book_requires_enough_symbols():
     with pytest.raises(ValueError):
         make_orthogonal_pilots(4, 3, np.ones(4))
     make_orthogonal_pilots(4, 4, np.ones(4))   # square book is legal
+    with pytest.raises(ValueError):
+        PilotBook(3, np.ones(4))
+    with pytest.raises(ValueError):
+        make_orthogonal_pilots(2, 2, np.array([1.0, 0.0]))
 
 
 def test_reflection_schedule_structure():
@@ -61,15 +64,10 @@ def test_reflection_schedule_structure():
         assert q == pytest.approx(sched.Qtilde[:, b].conj())
         assert np.array_equal(sched.reflections[b + 2], q)
     assert np.array_equal(sched.reflections[:2], [sched.q0, sched.q1])
-    assert sched.normal == pytest.approx(9.0 * np.eye(6), abs=1e-12)
+    Qt = sched.Qtilde
+    assert Qt @ Qt.conj().T == pytest.approx(9.0 * np.eye(6), abs=1e-12)
     with pytest.raises(ValueError):
         make_reflection_schedule(6, 5)   # fewer sub-frames than elements
-
-
-def test_schedule_rejects_non_unit_entries():
-    with pytest.raises(ValueError):
-        ReflectionSchedule(q0=np.array([1.0 + 0j, 0.5]),
-                           Qtilde=np.ones((2, 2), dtype=complex))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -106,10 +104,30 @@ def test_noise_perturbs_but_tracks_the_truth():
         assert rel < 1e-2
 
 
-def test_rank_deficient_schedule_is_reported():
-    with pytest.raises(np.linalg.LinAlgError):
-        ReflectionSchedule(q0=np.ones(3, dtype=complex),
-                           Qtilde=np.ones((3, 4), dtype=complex))
+def test_closed_forms_are_the_least_squares_solution():
+    """On a noisy, overdetermined sounding both matched filters equal the
+    least-squares solution of the stacked pilot and reflection model."""
+    rng = np.random.default_rng(12)
+    N, M, I, B, T = 5, 2, 3, 8, 4   # B > N, T > I
+    snap = random_snapshot(rng, N, M, I, sigma2=0.3)
+    pilots = make_orthogonal_pilots(I, T, snap.P_t)
+    sched = make_reflection_schedule(N, B)
+    Y = simulate_pilot_rx(snap, sched.reflections, pilots, rng)
+    S = pilots.S
+
+    # stage one: Y0 = S (Hd^H + R), Y1 = S (Hd^H - R), R the RIS term
+    A = np.block([[S, S], [S, -S]])
+    X = np.linalg.lstsq(A, np.vstack([Y[0], Y[1]]), rcond=None)[0]
+    Hd_hat = estimate_direct(Y[0], Y[1], pilots)
+    assert np.linalg.norm(Hd_hat - X[:I].conj().T) <= 1e-10 * np.linalg.norm(X[:I])
+
+    # stage two: Y_b - S Hd_hat^H = sum_i S[:, i] q_b G_i over the B blocks
+    resid = Y[2:] - S @ Hd_hat.conj().T
+    A = np.vstack([np.kron(S, q[None, :]) for q in sched.reflections[2:]])
+    G = np.linalg.lstsq(A, resid.reshape(B * T, M), rcond=None)[0]
+    G = G.reshape(I, N, M)
+    G_hat = estimate_cascaded(list(Y[2:]), pilots, Hd_hat, sched)
+    assert np.linalg.norm(G_hat - G) <= 1e-10 * np.linalg.norm(G)
 
 
 def test_stacked_sounding_equals_single_calls():

@@ -8,20 +8,15 @@ from hypothesis import given, strategies as st
 
 from marisim.sea_surface import (
     BUILTIN_SEA_STATES,
-    DOWNWARDS,
     FloatingNode,
     GRAVITY,
     SeaState,
-    UPWARDS,
     WaveField,
+    _peak_shift,
+    _wave_phase,
     antenna_height,
-    blocking_angle,
-    elevation_angle,
-    heave_direction,
-    load_sea_state_table,
     los_probability,
     los_state,
-    nearest_peak,
     sea_state,
     wave_from_sea_state,
 )
@@ -84,37 +79,6 @@ def test_calm_row_defines_no_wave():
         wave_from_sea_state(sea_state(0))
 
 
-def test_load_sea_state_table_roundtrip(tmp_path):
-    path = tmp_path / "states.ini"
-    path.write_text(
-        "[state 2]\n"
-        "height_range_m = 0.1, 0.5\n"
-        "height_mean_m = 0.3\n"
-        "period_range_s = 3, 15\n"
-        "period_mean_s = 7\n"
-        "[state calm]\n"
-        "height_range_m = 0, 0.1\n"
-        "height_mean_m = 0.05\n"
-    )
-    rows = load_sea_state_table(path)
-    assert rows[0] == SeaState(2, (0.1, 0.5), 0.3, (3.0, 15.0), 7.0)
-    assert rows[1].level == "calm" and rows[1].period_mean is None
-    assert sea_state("calm", table=rows).height_mean == 0.05
-
-
-def test_load_sea_state_table_rejects_junk(tmp_path):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[weather]\nheight_mean_m = 1\n")
-    with pytest.raises(ValueError):
-        load_sea_state_table(bad)
-    bad.write_text("[state 2]\nheight_mean_m = 1\nwind_kt = 10\n"
-                   "height_range_m = 0.5, 2\n")
-    with pytest.raises(ValueError):
-        load_sea_state_table(bad)
-    with pytest.raises(OSError):
-        load_sea_state_table(tmp_path / "missing.ini")
-
-
 @given(st.floats(0.0, 500.0), st.floats(1.0, 30.0))
 def test_antenna_height_stays_within_one_amplitude(t, mast):
     wave = default_wave(5)
@@ -124,6 +88,8 @@ def test_antenna_height_stays_within_one_amplitude(t, mast):
 
 
 def test_heave_direction_matches_height_slope():
+    # a rising buoy has its nearest crest within half a wavelength ahead,
+    # a falling one between half and one wavelength
     wave = default_wave(4)
     node = FloatingNode(position=(80.0, 15.0), mast_height=2.0)
     eps = 1e-4
@@ -131,36 +97,25 @@ def test_heave_direction_matches_height_slope():
         dh = antenna_height(node, wave, t + eps) - antenna_height(node, wave, t)
         if abs(dh) < 1e-9:  # turning point, direction is a tie-break
             continue
-        expect = UPWARDS if dh > 0 else DOWNWARDS
-        assert heave_direction(node, wave, t) == expect
+        shift = _peak_shift(wave.a, wave.l, _wave_phase(node, wave, t))
+        if dh > 0:
+            assert 0.0 <= shift <= wave.l / 2
+        else:
+            assert wave.l / 2 <= shift <= wave.l
 
 
 def test_nearest_peak_lies_within_one_wavelength_downwind():
     wave = default_wave(6)
-    node = FloatingNode(position=(200.0, 50.0), mast_height=2.0)
-    for t in np.linspace(0.0, wave.T_wave, 17):
-        peak = nearest_peak(node, wave, t)
-        shift = math.dist(node.position, tuple(peak))
-        assert 0.0 <= shift <= wave.l
-        # the peak sits along the propagation direction from the source
-        away = math.dist(tuple(peak), wave.source) - math.dist(node.position,
-                                                               wave.source)
-        assert away == pytest.approx(shift, abs=1e-6)
-
-
-def test_nearest_peak_rejects_flat_sea():
-    flat = WaveField(a=0.0, l=100.0, T_wave=10.0)
-    with pytest.raises(ValueError):
-        nearest_peak(FloatingNode((10.0, 0.0), 2.0), flat, 0.0)
+    for phase in np.linspace(0.0, 2.0 * np.pi, 65):
+        assert 0.0 <= _peak_shift(wave.a, wave.l, phase) <= wave.l
 
 
 def test_angle_helpers_validate_distances():
-    assert elevation_angle(2.0, 5.0, 100.0) == pytest.approx(math.atan(0.03))
-    assert blocking_angle(5.0, 1.0, 50.0) == pytest.approx(math.atan(0.08))
-    with pytest.raises(ValueError):
-        elevation_angle(2.0, 5.0, 0.0)
-    with pytest.raises(ValueError):
-        blocking_angle(5.0, 1.0, -1.0)
+    # the LoS elevation angles need the two buoys apart
+    node = FloatingNode((50.0, 0.0), 2.0)
+    for wave in (default_wave(4), WaveField(a=0.0, l=100.0, T_wave=10.0)):
+        with pytest.raises(ValueError):
+            los_state(node, node, wave, 1.0)
 
 
 def test_flat_sea_is_always_line_of_sight():
