@@ -17,11 +17,10 @@ from .sea_surface import (
     wave_from_sea_state,
 )
 from .channel import (
-    LinkGeometry,
     PathLossParams,
     cascade,
     db2pow,
-    link_gain,
+    draw_link_fading,
     path_loss_free_space,
     path_loss_los,
     path_loss_nlos,

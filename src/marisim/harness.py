@@ -141,12 +141,12 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
                        exclusions=_exclusion_zones(cfg))
     count = len(iots)
     positions = np.array([n.position for n in iots], dtype=float).reshape(count, 2)
+    batch = FloatingNode(position=positions, mast_height=cfg.geometry.iot_mast_m)
 
     P_e = energy.harvested_power(wave.a, wave.T_wave, cfg.energy)
     P_tx = energy.available_tx_power(P_e, cfg.energy)
     powers = np.full(count, P_tx)
-    flags = np.array([sea_surface.los_state(n, rx, wave, t) for n in iots],
-                     dtype=bool)
+    flags = sea_surface.los_state(batch, rx, wave, t)
 
     T = max(cfg.t_baseline, count)
     slots = cfg.radio.beta_hz * cfg.interval_duration_s
@@ -159,16 +159,15 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     sigma2 = cfg.radio.sigma2_w
     ris = ris_system.make_planar_ris(N, cfg.geometry.ris_center, p.lam)
     # the RIS->receiver segment is one physical link: one shadowing draw
-    # per interval, shared by every IoT's cascade
+    # per interval, shared by every IoT's cascade; the per-IoT draws follow
     F = channel.ris_departure_matrix(ris, rx, wave, t, cfg.radio.m_antennas, p, rng)
-    Hd = np.zeros((cfg.radio.m_antennas, count), dtype=complex)
-    G = np.empty((count, N, cfg.radio.m_antennas), dtype=complex)
-    for i, iot in enumerate(iots):
-        row = channel.synthesize_direct_channel(iot, rx, wave, t, flags[i],
-                                                cfg.radio.m_antennas, p, rng)
-        Hd[:, i] = row.conj()
-        h_r = channel.ris_incident_vector(iot, ris, wave, t, p, rng)
-        G[i] = channel.cascade(h_r, F)
+    xi_direct, nlos_phase, xi_incident = channel.draw_link_fading(flags, p, rng)
+    rows = channel.synthesize_direct_channel(batch, rx, wave, t, flags,
+                                             cfg.radio.m_antennas, p,
+                                             xi_direct, nlos_phase)
+    Hd = np.ascontiguousarray(rows.conj().T)
+    G = channel.cascade(channel.ris_incident_vector(batch, ris, wave, t, p,
+                                                    xi_incident), F)
     snap = ris_system.NetworkSnapshot(H_d=Hd, G=G, P_t=powers,
                                       sigma2=sigma2, beta=cfg.radio.beta_hz)
 
@@ -183,8 +182,7 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     snap_est = ris_system.NetworkSnapshot(H_d=Hd_hat, G=G_hat, P_t=powers,
                                           sigma2=sigma2,
                                           beta=cfg.radio.beta_hz)
-    q_star, _, sol = optimizer.optimize_phases(snap_est, cfg.optimizer, rng,
-                                               return_solution=True)
+    q_star, _, sol = optimizer.optimize_phases(snap_est, cfg.optimizer, rng)
 
     c_ris = ris_system.sum_capacity(snap, q_star)
     c_noris = ris_system.direct_capacity(snap)
@@ -362,17 +360,15 @@ def los_probability_table(cfg: ScenarioConfig, states, heights,
 def pathloss_table(cfg: ScenarioConfig, d_values) -> list:
     """Loss of each propagation model over distance, shadowing disabled."""
     p = cfg.radio.pathloss
+    d = np.asarray(d_values, dtype=float)
+    below = d[d < p.d_0]
+    if below.size:
+        raise ConfigError(f"distance {float(below[0])} m below the NLoS "
+                          f"reference {p.d_0} m")
     h_t, h_r = cfg.geometry.iot_mast_m, cfg.geometry.rx_mast_m
-    rows = []
-    for d in d_values:
-        d = float(d)
-        if d < p.d_0:
-            raise ConfigError(f"distance {d} m below the NLoS reference {p.d_0} m")
-        geom = channel.LinkGeometry(h_t=h_t, h_r=h_r, d=d, los=True)
-        rows.append({
-            "d_m": d,
-            "los_db": channel.path_loss_los(geom, p, 0.0),
-            "nlos_db": channel.path_loss_nlos(d, p, 0.0),
-            "free_space_db": channel.path_loss_free_space(d, p.f_c),
-        })
-    return rows
+    columns = (d, channel.path_loss_los(d, h_t, h_r, p),
+               channel.path_loss_nlos(d, p),
+               channel.path_loss_free_space(d, p.f_c))
+    return [{"d_m": row[0], "los_db": row[1], "nlos_db": row[2],
+             "free_space_db": row[3]}
+            for row in zip(*(c.tolist() for c in columns))]

@@ -151,19 +151,19 @@ def randomize(sol: SdpSolution, R: int, obj: HomogenizedObjective, rng) -> np.nd
     return W[int(np.argmax(vals)), :-1]
 
 
-def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng,
-                    return_solution: bool = False):
+def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng):
     """Full chain: build D, solve the SDP, randomize, and guard with the
     all-ones reflection and sign flips so the result never loses to them.
 
-    With return_solution the relaxed SdpSolution is appended for diagnostics.
+    Returns (q, capacity, sol): the relaxed SdpSolution is kept for
+    diagnostics, and is None when there is no RIS (N = 0).
     """
     obj = build_D(snap.H_d, snap.G, snap.P_t)
     N = obj.N
     ones = np.ones(N, dtype=complex)
     if N == 0:
         capacity = snap.beta * float(np.log2(1.0 + obj.D[0, 0].real / snap.sigma2))
-        return (ones, capacity, None) if return_solution else (ones, capacity)
+        return ones, capacity, None
     sol = solve_sdp(obj, cfg.sdp_tol, cfg.sdp_max_iter)
     q_rand = randomize(sol, cfg.randomization_draws, obj, rng)
     # The +/- pair of any candidate averages to at least the direct-only
@@ -176,7 +176,7 @@ def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng,
             best_val = val
             best_q = q
     capacity = snap.beta * float(np.log2(1.0 + best_val / snap.sigma2))
-    return (best_q, capacity, sol) if return_solution else (best_q, capacity)
+    return best_q, capacity, sol
 
 
 _BRUTE_FORCE_GUARD = 10 ** 8

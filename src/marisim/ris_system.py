@@ -20,22 +20,15 @@ UNIT_MODULUS_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class RisConfig:
-    """RIS element layout (N 3-D positions, meters) and current phases."""
+    """RIS element layout (N 3-D positions, meters)."""
 
     element_positions: np.ndarray  # (N, 3)
-    phases: np.ndarray             # (N,) in [0, 2pi)
 
     def __post_init__(self):
         pos = np.asarray(self.element_positions, dtype=float)
-        ph = np.asarray(self.phases, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise ValueError("element_positions must be (N, 3) with N >= 1")
-        if ph.shape != (pos.shape[0],):
-            raise ValueError("phases must have one entry per element")
-        if np.any(ph < 0) or np.any(ph >= 2.0 * np.pi):
-            raise ValueError("phases must lie in [0, 2pi)")
         object.__setattr__(self, "element_positions", pos)
-        object.__setattr__(self, "phases", ph)
 
     @property
     def N(self) -> int:
@@ -64,7 +57,7 @@ def make_planar_ris(N: int, center, wavelength: float) -> RisConfig:
         float(center[1]) + yy.ravel(),
         float(center[2]) + zz.ravel(),
     ])
-    return RisConfig(element_positions=pos, phases=np.zeros(N))
+    return RisConfig(element_positions=pos)
 
 
 @dataclass(frozen=True, eq=False)

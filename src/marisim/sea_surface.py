@@ -84,9 +84,14 @@ class WaveField:
 
 @dataclass(frozen=True)
 class FloatingNode:
-    """A buoy-mounted antenna: 2-D anchor position plus mast height."""
+    """A buoy-mounted antenna: 2-D anchor position plus mast height.
 
-    position: tuple[float, float]
+    A position of shape (I, 2) makes the node a batch of I buoys sharing
+    one mast height; antenna_height and los_state then return one value per
+    buoy.
+    """
+
+    position: tuple[float, float] | np.ndarray
     mast_height: float
 
     def __post_init__(self):
@@ -107,16 +112,22 @@ def wave_from_sea_state(state: SeaState, source=DEFAULT_WAVE_SOURCE) -> WaveFiel
     )
 
 
-def _source_distance(node: FloatingNode, wave: WaveField) -> float:
-    return math.dist(node.position, wave.source)
+def _distance(a, b):
+    """Horizontal distance between (..., 2) positions."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
 
 
-def _source_unit(node: FloatingNode, wave: WaveField) -> tuple[float, float]:
+def _source_distance(node: FloatingNode, wave: WaveField):
+    return _distance(node.position, wave.source)
+
+
+def _source_unit(node: FloatingNode, wave: WaveField) -> np.ndarray:
     d = _source_distance(node, wave)
-    if d == 0:
+    if np.any(d == 0):
         raise ValueError("node sits on the wave source")
-    return ((node.position[0] - wave.source[0]) / d,
-            (node.position[1] - wave.source[1]) / d)
+    return (np.asarray(node.position, dtype=float) - wave.source) / d[..., None]
 
 
 def _wave_phase(node, wave, t, extra_dist=0.0):
@@ -145,26 +156,23 @@ def _peak_shift(a, l, phase):
 
 
 def _los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):
-    """Vectorized LoS test over time samples / per-buoy phase offsets."""
-    d = math.dist(tx.position, rx.position)
-    if d == 0:
+    """Vectorized LoS test over time samples / per-buoy phase offsets, or
+    over a batch of buoys."""
+    d = _distance(tx.position, rx.position)
+    if np.any(d == 0):
         raise ValueError("co-located nodes")
     if wave.a == 0:
-        return np.broadcast_to(True, np.shape(t))
+        return np.broadcast_to(True, np.broadcast_shapes(np.shape(t), d.shape))
     ph_t = _wave_phase(tx, wave, t, tx_extra_dist)
     ph_r = _wave_phase(rx, wave, t, rx_extra_dist)
     h_t = _height(tx, wave, ph_t)
     h_r = _height(rx, wave, ph_r)
     shift_t = _peak_shift(wave.a, wave.l, ph_t)
     shift_r = _peak_shift(wave.a, wave.l, ph_r)
-    ut = _source_unit(tx, wave)
-    ur = _source_unit(rx, wave)
-    peak_t = np.stack([tx.position[0] + shift_t * ut[0],
-                       tx.position[1] + shift_t * ut[1]], axis=-1)
-    peak_r = np.stack([rx.position[0] + shift_r * ur[0],
-                       rx.position[1] + shift_r * ur[1]], axis=-1)
-    dist_t = np.linalg.norm(np.asarray(rx.position) - peak_t, axis=-1)
-    dist_r = np.linalg.norm(np.asarray(tx.position) - peak_r, axis=-1)
+    peak_t = tx.position + shift_t[..., None] * _source_unit(tx, wave)
+    peak_r = rx.position + shift_r[..., None] * _source_unit(rx, wave)
+    dist_t = _distance(rx.position, peak_t)
+    dist_r = _distance(tx.position, peak_r)
     # arctan2 handles a crest exactly under the peer antenna (dist -> 0).
     phi_t = np.arctan2(h_r - h_t, d)
     psi_t = np.arctan2(h_r - wave.a, dist_t)
@@ -172,9 +180,11 @@ def _los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):
     return (phi_t <= psi_t) & (-phi_t <= psi_r)
 
 
-def los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField, t) -> bool:
-    """True when the direct Tx-Rx ray clears both nearest wave crests."""
-    return bool(_los_mask(tx, rx, wave, t))
+def los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField, t):
+    """True when the direct Tx-Rx ray clears both nearest wave crests; an
+    (I,) bool array when tx or rx is a batch of I buoys."""
+    mask = _los_mask(tx, rx, wave, t)
+    return bool(mask) if mask.ndim == 0 else np.array(mask)
 
 
 def los_probability(state: SeaState, tx: FloatingNode, rx: FloatingNode,

@@ -156,8 +156,8 @@ def test_power_scaling_rescales_objective_only():
     assert np.array_equal(obj2.D, 2.0 * obj.D)
     cfg = OptimizerConfig(sdp_tol=1e-8, sdp_max_iter=5000,
                           randomization_draws=50)
-    q1, _ = optimize_phases(snap, cfg, np.random.default_rng(9))
-    q2, _ = optimize_phases(scaled, cfg, np.random.default_rng(9))
+    q1, _, _ = optimize_phases(snap, cfg, np.random.default_rng(9))
+    q2, _, _ = optimize_phases(scaled, cfg, np.random.default_rng(9))
     # same normalized problem and same draws: same argmax, doubled value
     assert np.array_equal(q1, q2)
     assert reflection_objective(obj2, q2) == pytest.approx(
@@ -172,7 +172,7 @@ def test_optimizer_never_loses_to_direct_or_ones():
                                I=int(rng.integers(1, 4)))
         cfg = OptimizerConfig(sdp_tol=1e-6, sdp_max_iter=2000,
                               randomization_draws=30)
-        q, capacity = optimize_phases(snap, cfg, rng)
+        q, capacity, _ = optimize_phases(snap, cfg, rng)
         assert capacity >= direct_capacity(snap) - 1e-9
         assert capacity >= sum_capacity(snap, np.ones(snap.N)) - 1e-9
         assert capacity == pytest.approx(sum_capacity(snap, q), rel=1e-12)
@@ -181,8 +181,9 @@ def test_optimizer_never_loses_to_direct_or_ones():
 def test_zero_element_ris_degenerates_to_direct():
     rng = np.random.default_rng(4)
     snap = random_snapshot(rng, N=0, M=3, I=2)
-    q, capacity = optimize_phases(snap, OptimizerConfig(), rng)
+    q, capacity, sol = optimize_phases(snap, OptimizerConfig(), rng)
     assert q.size == 0
+    assert sol is None
     assert capacity == pytest.approx(direct_capacity(snap), rel=1e-12)
 
 

@@ -50,13 +50,8 @@ def test_planar_ris_grid_geometry():
 def test_ris_config_validation():
     with pytest.raises(ValueError):
         make_planar_ris(0, (0, 0, 35.0), LAM)
-    pos = np.zeros((4, 3))
     with pytest.raises(ValueError):
-        RisConfig(element_positions=pos, phases=np.full(4, -0.1))
-    with pytest.raises(ValueError):
-        RisConfig(element_positions=pos, phases=np.full(4, 2.0 * np.pi))
-    with pytest.raises(ValueError):
-        RisConfig(element_positions=pos, phases=np.zeros(3))
+        RisConfig(element_positions=np.zeros((4, 2)))
 
 
 def test_snapshot_dimensions_and_direct_row():

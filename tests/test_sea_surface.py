@@ -111,11 +111,14 @@ def test_nearest_peak_lies_within_one_wavelength_downwind():
 
 
 def test_angle_helpers_validate_distances():
-    # the LoS elevation angles need the two buoys apart
+    # the LoS elevation angles need the two buoys apart, in a batch too
     node = FloatingNode((50.0, 0.0), 2.0)
+    batch = FloatingNode(np.array([[0.0, 40.0], [50.0, 0.0]]), 2.0)
     for wave in (default_wave(4), WaveField(a=0.0, l=100.0, T_wave=10.0)):
         with pytest.raises(ValueError):
             los_state(node, node, wave, 1.0)
+        with pytest.raises(ValueError):
+            los_state(batch, node, wave, 1.0)
 
 
 def test_flat_sea_is_always_line_of_sight():
@@ -123,6 +126,11 @@ def test_flat_sea_is_always_line_of_sight():
     tx = FloatingNode((50.0, 0.0), 2.0)
     rx = FloatingNode((250.0, 0.0), 5.0)
     assert los_state(tx, rx, flat, 3.7) is True
+    batch = FloatingNode(np.array([[50.0, 0.0], [0.0, 80.0], [-30.0, -40.0]]),
+                         2.0)
+    flags = los_state(batch, rx, flat, 3.7)
+    assert flags.shape == (3,) and flags.dtype == bool
+    assert np.all(flags)
 
 
 @given(st.integers(2, 8), st.floats(0.0, 50.0),
@@ -132,6 +140,18 @@ def test_los_state_is_symmetric_in_the_two_buoys(level, t, x, y):
     tx = FloatingNode((x, y), 2.0)
     rx = FloatingNode((x + 180.0, y - 60.0), 5.0)
     assert los_state(tx, rx, wave, t) == los_state(rx, tx, wave, t)
+
+
+@pytest.mark.parametrize("level", [3, 6, 8])
+def test_batch_los_state_equals_single_calls(level):
+    wave = default_wave(level)
+    pos = np.random.default_rng(level).uniform(-150.0, 150.0, (64, 2))
+    rx = FloatingNode((200.0, 0.0), 5.0)
+    for t in (0.0, 4.2):
+        flags = los_state(FloatingNode(pos, 2.0), rx, wave, t)
+        assert flags.shape == (64,) and flags.dtype == bool
+        assert flags.tolist() == [los_state(FloatingNode(tuple(xy), 2.0), rx,
+                                            wave, t) for xy in pos]
 
 
 def test_los_probability_bounds_and_determinism():
