@@ -151,8 +151,8 @@ def _check_estimation_exact():
 
 
 def _check_sdp_hand_instance():
-    obj = optimizer.HomogenizedObjective(D=np.array([[1.0, 1.0j],
-                                                     [-1.0j, 1.0]]))
+    # D = w w^H = [[1, i], [-i, 1]] with w = [1, -i]: optimum 4 at q = -i
+    obj = optimizer.HomogenizedObjective(W=[[1.0], [-1.0j]], p=[1.0])
     sol = optimizer.solve_sdp(obj, tol=1e-9, max_iter=20000)
     assert sol.converged, f"gap {sol.gap} not certified"
     assert abs(sol.objective - 4.0) < 1e-5, f"objective {sol.objective}"

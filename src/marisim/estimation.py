@@ -81,9 +81,9 @@ class ReflectionSchedule:
 
     @cached_property
     def Qtilde(self) -> np.ndarray:
-        n = np.arange(self.N)[:, None]
-        b = np.arange(self.B)[None, :]
-        return np.exp(-2j * np.pi * n * b / self.B)
+        # exp(-2 pi i n b / B) depends on n b mod B only: index the B roots
+        roots = np.exp(-2j * np.pi * np.arange(self.B) / self.B)
+        return roots[np.outer(np.arange(self.N), np.arange(self.B)) % self.B]
 
     def scheduled_reflection(self, b: int) -> np.ndarray:
         """The 1 x N reflection row used in sub-frame b."""

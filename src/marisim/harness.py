@@ -72,16 +72,17 @@ MAX_REDRAWS = 10_000
 
 
 def deploy_iots(mean_count: float, radius: float, center, rng,
-                mast_height: float = 2.0, exclusions=()) -> list:
-    """Poisson-count IoT buoys uniform on a disk, re-drawing any position
-    that lands inside an exclusion circle (turbine hull, receiver buoy).
+                exclusions=()) -> np.ndarray:
+    """(I, 2) positions of Poisson-count IoT buoys uniform on a disk,
+    re-drawing any position that lands inside an exclusion circle (turbine
+    hull, receiver buoy).
 
     Raises ConfigError after MAX_REDRAWS consecutive rejections."""
     if not mean_count > 0 or not radius > 0:
         raise ValueError("mean_count and radius must be positive")
     count = int(rng.poisson(mean_count))
-    nodes = []
-    for _ in range(count):
+    positions = np.empty((count, 2))
+    for i in range(count):
         for _ in range(MAX_REDRAWS):
             r = radius * math.sqrt(rng.uniform())
             ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -91,8 +92,8 @@ def deploy_iots(mean_count: float, radius: float, center, rng,
         else:
             raise ConfigError(f"exclusion zones cover the deploy disk: "
                               f"{MAX_REDRAWS} positions in a row rejected")
-        nodes.append(FloatingNode(position=pos, mast_height=mast_height))
-    return nodes
+        positions[i] = pos
+    return positions
 
 
 def _exclusion_zones(cfg: ScenarioConfig):
@@ -106,7 +107,7 @@ def _zero_record(cfg, interval_idx, positions, powers, flags, overhead):
     count = len(positions)
     return TrialRecord(
         interval_idx=interval_idx, sea_state=cfg.sea_state,
-        positions=np.asarray(positions, dtype=float).reshape(count, 2),
+        positions=positions,
         powers=np.asarray(powers, dtype=float),
         los_flags=np.asarray(flags, dtype=bool),
         hd_error=float("nan"), g_error=float("nan"),
@@ -135,12 +136,11 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     t = float(rng.uniform(0.0, wave.T_wave))
     rx = FloatingNode(position=cfg.geometry.rx_position,
                       mast_height=cfg.geometry.rx_mast_m)
-    iots = deploy_iots(cfg.geometry.mean_iot_count, cfg.geometry.deploy_radius_m,
-                       cfg.geometry.turbine_position, rng,
-                       mast_height=cfg.geometry.iot_mast_m,
-                       exclusions=_exclusion_zones(cfg))
-    count = len(iots)
-    positions = np.array([n.position for n in iots], dtype=float).reshape(count, 2)
+    positions = deploy_iots(cfg.geometry.mean_iot_count,
+                            cfg.geometry.deploy_radius_m,
+                            cfg.geometry.turbine_position, rng,
+                            exclusions=_exclusion_zones(cfg))
+    count = len(positions)
     batch = FloatingNode(position=positions, mast_height=cfg.geometry.iot_mast_m)
 
     P_e = energy.harvested_power(wave.a, wave.T_wave, cfg.energy)

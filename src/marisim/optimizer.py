@@ -4,10 +4,13 @@ a brute-force oracle.
 
 The quadratic uplink objective over a unit-modulus reflection row q is
 homogenized with an auxiliary coordinate into v = [q, 1], giving the pure
-form v D v^H with D Hermitian PSD.  The relaxation drops rank-1, leaving
-max Tr(DV) over Hermitian V with unit diagonal and V PSD.  It is solved over
-V = U U^H with a thin U by the generalized power method, and every solve
-reports the gap to a dual bound, so an uncertified result is visible.
+form v D v^H with D = W diag(p) W^H.  The objective is kept as the
+(N+1) x k factor W and the k real weights p, k = I M, and the (N+1)^2 matrix
+D is never formed.  The relaxation drops rank-1, leaving max Tr(DV) over
+Hermitian V with unit diagonal and V PSD.  It is solved over V = U U^H with
+a thin U by the generalized power method, and every solve reports the gap
+to a dual bound, certified by a k x k Schur-complement test, so an
+uncertified result is visible.
 """
 
 from __future__ import annotations
@@ -22,19 +25,25 @@ from .ris_system import NetworkSnapshot, combined_channel
 
 @dataclass(frozen=True, eq=False)
 class HomogenizedObjective:
-    D: np.ndarray  # (N+1, N+1) Hermitian PSD
+    """D = W diag(p) W^H in factored form; a negative weight makes D
+    indefinite."""
+
+    W: np.ndarray  # (N+1, k) factor, column j = w_j
+    p: np.ndarray  # (k,) real weights
 
     def __post_init__(self):
-        D = np.asarray(self.D, dtype=complex)
-        if D.ndim != 2 or D.shape[0] != D.shape[1] or D.shape[0] < 1:
-            raise ValueError("D must be square of size N+1 >= 1")
-        if np.max(np.abs(D - D.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(D))):
-            raise ValueError("D must be Hermitian")
-        object.__setattr__(self, "D", D)
+        W = np.asarray(self.W, dtype=complex)
+        p = np.asarray(self.p, dtype=float)
+        if W.ndim != 2 or W.shape[0] < 1 or p.shape != (W.shape[1],):
+            raise ValueError("W must be (N+1) x k with N+1 >= 1, p of length k")
+        if not (np.isfinite(W).all() and np.isfinite(p).all()):
+            raise ValueError("objective factor must be finite")
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "p", p)
 
     @property
     def N(self) -> int:
-        return self.D.shape[0] - 1
+        return self.W.shape[0] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +71,12 @@ class OptimizerConfig:
 
 
 def build_D(Hd: np.ndarray, G, P_t) -> HomogenizedObjective:
-    """Block matrix of the homogenized objective from channels and powers.
+    """Factored homogenized objective from channels and powers.
 
     With W_i = [G_i; h_i], h_i the conjugated column i of Hd, IoT i's power
-    ||h_i + q G_i||^2 is [q, 1] W_i W_i^H [q, 1]^H, so D = sum_i P_i W_i W_i^H.
+    ||h_i + q G_i||^2 is [q, 1] W_i W_i^H [q, 1]^H, so D = sum_i P_i W_i W_i^H
+    = W diag(p) W^H with W = [W_1, ..., W_I] and p = repeat(P_t, M).  Only
+    W and p are returned; D itself is never formed.
     """
     Hd = np.asarray(Hd, dtype=complex)
     G = np.asarray(G, dtype=complex)   # ragged input raises here
@@ -82,16 +93,76 @@ def build_D(Hd: np.ndarray, G, P_t) -> HomogenizedObjective:
     N = G.shape[1]
     W = np.concatenate([G, Hd.T.conj()[:, None, :]], axis=1)   # (I, N+1, M)
     W = W.transpose(1, 0, 2).reshape(N + 1, I * M)
-    # P_i weights one factor only, so scaling the powers scales D exactly
-    D = (W * np.repeat(P_t, M)) @ W.conj().T
-    D = 0.5 * (D + D.conj().T)
-    return HomogenizedObjective(D=D)
+    # the powers weight the columns and sit under no square root, so
+    # scaling them scales every objective value exactly
+    return HomogenizedObjective(W=W, p=np.repeat(P_t, M))
+
+
+def _values(obj: HomogenizedObjective, V: np.ndarray):
+    """v D v^H = sum_j p_j |v w_j|^2 for each row v of V."""
+    return np.abs(V @ obj.W) ** 2 @ obj.p
 
 
 def reflection_objective(obj: HomogenizedObjective, q) -> float:
     """Quadratic objective [q, 1] D [q, 1]^H (row-vector convention)."""
     v = np.concatenate([np.asarray(q, dtype=complex), [1.0 + 0.0j]])
-    return float(np.real(v @ obj.D @ v.conj()))
+    return float(_values(obj, v))
+
+
+# Bisection steps on the Schur test that tighten the reported gap at exit.
+_GAP_BISECTIONS = 8
+
+
+class _ShiftTest:
+    """Certified lower bounds mu on lambda_min(diag(lam) - D) from k x k work.
+
+    Dropping the negative-weight columns only adds a PSD term to
+    diag(lam) - D, so any mu with diag(lam) - mu I - W+ W+^H PSD is a valid
+    bound, W+ being W scaled by sqrt(p) on the positive-weight columns.  For
+    mu < min(lam) the Schur complement turns that into a Cholesky test of
+    I_k - W+^H (diag(lam) - mu I)^-1 W+."""
+
+    def __init__(self, obj: HomogenizedObjective):
+        pos = obj.p > 0
+        self.Wp = obj.W[:, pos] * np.sqrt(obj.p[pos])
+        self.Wph = np.ascontiguousarray(self.Wp.conj().T)
+        self.eye = np.eye(self.Wp.shape[1])
+        self.trace = float(np.sum(np.abs(self.Wp) ** 2))   # ||W+ W+^H|| bound
+
+    def weyl(self, lam) -> float:
+        """Bound that needs no test: min(lam) - ||W+||_F^2."""
+        return float(np.min(lam)) - self.trace
+
+    def holds(self, lam, mu: float) -> bool:
+        d = lam - mu
+        if not np.all(d > 0):
+            return False
+        try:
+            np.linalg.cholesky(self.eye - (self.Wph * (1.0 / d)) @ self.Wp)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def certifies(self, lam, eps: float) -> bool:
+        """lambda_min(diag(lam) - D) >= -eps, certified."""
+        return self.weyl(lam) >= -eps or self.holds(lam, -eps)
+
+    def bound(self, lam, eps: float, certified: bool) -> float:
+        """Largest mu <= 0 found by bisection between the known-valid bound
+        and the first value not known to hold."""
+        lo = self.weyl(lam)
+        hi = -eps
+        if certified:
+            lo, hi = max(lo, -eps), 0.0
+        if lo >= 0.0:
+            return 0.0
+        for _ in range(_GAP_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if self.holds(lam, mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
 
 def solve_sdp(obj: HomogenizedObjective, tol: float = 1e-6,
@@ -101,16 +172,21 @@ def solve_sdp(obj: HomogenizedObjective, tol: float = 1e-6,
     U has unit rows, so V is always feasible, and r >= sqrt(2n) columns, for
     which second-order critical points are optimal (Boumal, Voroninski &
     Bandeira 2016).  Each iteration is the generalized power step
-    U <- row-normalize(D U) (Burer & Monteiro 2003), ascending for PSD D.
-    When the objective stalls, at iterations at least doubling apart, the
-    dual point y = lam - min(0, lambda_min(diag(lam) - D)), lam_i = Re(DV)_ii,
-    is formed: diag(y) - D is PSD, so sum(y) bounds the optimum for any
-    Hermitian D.  `converged` means sum(y) - Tr(DV) <= tol * |Tr(DV)|.
+    U <- row-normalize(W (p * (W^H U))) = row-normalize(D U) (Burer &
+    Monteiro 2003), ascending for PSD D.  When the objective stalls, at
+    iterations at least doubling apart, the dual point y = lam - mu is
+    tested, lam_i = Re(DV)_ii and mu a lower bound on
+    lambda_min(diag(lam) - D): diag(y) - D is PSD, so sum(y) bounds the
+    optimum for any Hermitian D.  The solve stops when a k x k Schur test
+    certifies mu >= -tol * |Tr(DV)| / n, that is sum(y) - Tr(DV) <=
+    tol * |Tr(DV)|, and only then is it `converged`.  The reported gap comes
+    from a few bisection steps on the same test at exit.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    D = obj.D
-    n = D.shape[0]
+    W, Wh, p = obj.W, obj.W.conj().T, obj.p[:, None]
+    test = _ShiftTest(obj)
+    n = W.shape[0]
     r = min(n, math.ceil(math.sqrt(2 * n)) + 1)
     init = np.random.default_rng(0)     # fixed start, not the trial RNG
     U = init.standard_normal((n, r)) + 1j * init.standard_normal((n, r))
@@ -118,19 +194,21 @@ def solve_sdp(obj: HomogenizedObjective, tol: float = 1e-6,
     value = -np.inf
     next_check = 1
     for k in range(1, max_iter + 1):
-        DU = D @ U
+        DU = W @ (p * (Wh @ U))
         lam = np.real(np.sum(DU * U.conj(), axis=1))   # Re(DV)_ii
         value, previous = float(np.sum(lam)), value
         if k == max_iter or (k >= next_check
                              and value - previous <= tol * abs(value)):
-            gap = -n * min(0.0, float(np.linalg.eigvalsh(np.diag(lam) - D)[0]))
-            if gap <= tol * abs(value) or k == max_iter:
+            eps = tol * abs(value) / n
+            certified = test.certifies(lam, eps)
+            if certified or k == max_iter:
                 break
             next_check = 2 * k
         norms = np.linalg.norm(DU, axis=1, keepdims=True)
         U = np.divide(DU, norms, out=U, where=norms > 0)  # zero rows stay
+    gap = -n * test.bound(lam, eps, certified)
     return SdpSolution(U=U, objective=value, gap=gap, iterations=k,
-                       converged=bool(gap <= tol * abs(value)))
+                       converged=certified)
 
 
 def randomize(sol: SdpSolution, R: int, obj: HomogenizedObjective, rng) -> np.ndarray:
@@ -146,14 +224,14 @@ def randomize(sol: SdpSolution, R: int, obj: HomogenizedObjective, rng) -> np.nd
     Vs = E @ sol.U.T                                       # (R, n) draws
     # the row-form phases of [q, 1] follow from the conjugated ratio of the
     # column-convention draw against its last entry
-    W = np.vstack([np.ones(n), np.exp(1j * np.angle(Vs.conj() * Vs[:, -1:]))])
-    vals = np.real(np.sum((W @ obj.D) * W.conj(), axis=1))
-    return W[int(np.argmax(vals)), :-1]
+    rows = np.vstack([np.ones(n), np.exp(1j * np.angle(Vs.conj() * Vs[:, -1:]))])
+    return rows[int(np.argmax(_values(obj, rows))), :-1]
 
 
 def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng):
-    """Full chain: build D, solve the SDP, randomize, and guard with the
-    all-ones reflection and sign flips so the result never loses to them.
+    """Full chain: build the factored objective, solve the SDP, randomize,
+    and guard with the all-ones reflection and sign flips so the result
+    never loses to them.
 
     Returns (q, capacity, sol): the relaxed SdpSolution is kept for
     diagnostics, and is None when there is no RIS (N = 0).
@@ -162,7 +240,8 @@ def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng):
     N = obj.N
     ones = np.ones(N, dtype=complex)
     if N == 0:
-        capacity = snap.beta * float(np.log2(1.0 + obj.D[0, 0].real / snap.sigma2))
+        value = reflection_objective(obj, ones)
+        capacity = snap.beta * float(np.log2(1.0 + value / snap.sigma2))
         return ones, capacity, None
     sol = solve_sdp(obj, cfg.sdp_tol, cfg.sdp_max_iter)
     q_rand = randomize(sol, cfg.randomization_draws, obj, rng)

@@ -66,6 +66,12 @@ def test_reflection_schedule_structure():
     assert np.array_equal(sched.reflections[:2], [sched.q0, sched.q1])
     Qt = sched.Qtilde
     assert Qt @ Qt.conj().T == pytest.approx(9.0 * np.eye(6), abs=1e-12)
+    # the table of B roots of unity gives the closed-form DFT schedule
+    for N, B in ((6, 9), (360, 360)):
+        Qt = make_reflection_schedule(N, B).Qtilde
+        n, b = np.arange(N)[:, None], np.arange(B)[None, :]
+        assert np.max(np.abs(Qt - np.exp(-2j * np.pi * n * b / B))) < 1e-12
+        assert np.max(np.abs(Qt @ Qt.conj().T - B * np.eye(N))) < 1e-12
     with pytest.raises(ValueError):
         make_reflection_schedule(6, 5)   # fewer sub-frames than elements
 

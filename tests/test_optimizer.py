@@ -16,7 +16,8 @@ from marisim.optimizer import (
 )
 from marisim.ris_system import NetworkSnapshot, direct_capacity, sum_capacity
 
-HAND_D = np.array([[1.0, 1.0j], [-1.0j, 1.0]])   # optimum 4 at q = -i
+# D = w w^H = [[1, i], [-i, 1]] with w = [1, -i]: optimum 4 at q = -i
+HAND_D = HomogenizedObjective(W=[[1.0], [-1.0j]], p=[1.0])
 
 
 def random_snapshot(rng, N, M, I, sigma2=1.0, beta=1.0):
@@ -27,12 +28,22 @@ def random_snapshot(rng, N, M, I, sigma2=1.0, beta=1.0):
     return NetworkSnapshot(H_d=Hd, G=G, P_t=P_t, sigma2=sigma2, beta=beta)
 
 
+def dense(obj):
+    """D = W diag(p) W^H, formed only as the tests' reference."""
+    return (obj.W * obj.p) @ obj.W.conj().T
+
+
 def test_build_d_shape_and_hermitian_psd():
     rng = np.random.default_rng(0)
     snap = random_snapshot(rng, N=6, M=3, I=2)
     obj = build_D(snap.H_d, snap.G, snap.P_t)
-    D = obj.D
-    assert obj.N == 6 and D.shape == (7, 7)
+    assert obj.N == 6 and obj.W.shape == (7, 6)
+    assert np.array_equal(obj.p, np.repeat(snap.P_t, 3))
+    # the factor carries D = sum_i P_i W_i W_i^H, W_i = [G_i; h_i]
+    blocks = [np.vstack([snap.G[i], snap.H_d[:, i].conj()]) for i in range(2)]
+    D = dense(obj)
+    want = sum(P * Wi @ Wi.conj().T for P, Wi in zip(snap.P_t, blocks))
+    assert D == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert np.max(np.abs(D - D.conj().T)) <= 1e-12 * np.max(np.abs(D))
     evals = np.linalg.eigvalsh(D)
     assert evals.min() >= -1e-10 * evals.max()
@@ -49,11 +60,11 @@ def test_build_d_validation():
     with pytest.raises(ValueError):
         build_D(snap.H_d, snap.G, -snap.P_t)
     with pytest.raises(ValueError):
-        HomogenizedObjective(D=np.array([[1.0, 2.0], [3.0, 1.0]]))
+        HomogenizedObjective(W=np.ones((3, 2)), p=np.ones(3))
 
 
 def test_hand_instance_solves_to_known_optimum():
-    obj = HomogenizedObjective(D=HAND_D)
+    obj = HAND_D
     sol = solve_sdp(obj, tol=1e-9, max_iter=20000)
     assert sol.converged
     assert sol.objective == pytest.approx(4.0, abs=1e-5)
@@ -82,24 +93,27 @@ def test_relaxation_sandwich_on_small_instances(seed):
     assert sol.objective >= rounded - 1e-6 * max(1.0, abs(rounded))
 
 
-def certified_dual(obj, sol):
-    """The solver's dual point y = lam - min(0, lambda_min(diag(lam) - D))
-    with lam_i = Re(D V)_ii, rebuilt from the returned solution."""
-    lam = np.real(np.diag(obj.D @ sol.V))
-    shift = min(0.0, np.linalg.eigvalsh(np.diag(lam) - obj.D)[0])
-    return lam - shift
-
-
-def assert_certificate_holds(obj, sol, tol):
-    y = certified_dual(obj, sol)
-    roundoff = 1e-12 * obj.D.shape[0] * max(1.0, np.max(np.abs(obj.D)))
-    # diag(y) - D is PSD to round-off, so sum(y) bounds the SDP optimum
-    assert np.linalg.eigvalsh(np.diag(y) - obj.D)[0] >= -roundoff
-    assert sol.objective == pytest.approx(np.real(np.trace(obj.D @ sol.V)),
-                                          rel=1e-12, abs=roundoff)
-    assert sol.gap == pytest.approx(np.sum(y) - sol.objective, abs=roundoff)
+def assert_certificate_holds(obj, sol, tol, exact=True):
+    """Check the k x k certificate against a dense eigvalsh of
+    diag(lam) - D, lam_i = Re(D V)_ii.  With no negative weight (`exact`)
+    the certify decision at eps = tol |Tr(DV)| / n must be the dense one."""
+    D = dense(obj)
+    n = D.shape[0]
+    roundoff = 1e-12 * n * max(1.0, np.max(np.abs(D)))
+    lam = np.real(np.diag(D @ sol.V))
+    mu = np.linalg.eigvalsh(np.diag(lam) - D)[0]
+    dense_gap = -n * min(0.0, mu)
+    assert sol.objective == pytest.approx(np.sum(lam), rel=1e-12, abs=roundoff)
+    # the reported gap is a valid bound: diag(lam + gap / n) - D is PSD
+    assert sol.gap >= dense_gap - roundoff
+    eps = tol * abs(sol.objective) / n
     if sol.converged:
-        assert np.sum(y) - sol.objective <= tol * abs(sol.objective) + roundoff
+        assert mu >= -eps - roundoff
+        assert sol.gap <= tol * abs(sol.objective) + roundoff
+        if exact:   # bisection brings the gap close to the dense one
+            assert sol.gap <= dense_gap + 0.01 * tol * abs(sol.objective) + roundoff
+    elif exact:
+        assert mu < -eps + roundoff
 
 
 def test_certificate_on_criterion_2_sized_and_64_element_instances():
@@ -113,6 +127,23 @@ def test_certificate_on_criterion_2_sized_and_64_element_instances():
         assert sol.converged
         assert np.diag(sol.V).real == pytest.approx(np.ones(N + 1))
         assert_certificate_holds(obj, sol, 1e-6)
+
+
+def test_certificate_decision_matches_dense_eigvalsh():
+    # short iteration caps stop most solves uncertified, so both decisions
+    # of the k x k test are compared with the dense one
+    rng = np.random.default_rng(1002)
+    sizes = [(int(rng.integers(1, 5)), int(rng.integers(1, 3)),
+              int(rng.integers(1, 3))) for _ in range(50)] + [(64, 4, 3)]
+    decisions = set()
+    for N, M, I in sizes:
+        snap = random_snapshot(rng, N, M, I)
+        obj = build_D(snap.H_d, snap.G, snap.P_t)
+        for max_iter in (1, 2, 3, 8):
+            sol = solve_sdp(obj, tol=1e-6, max_iter=max_iter)
+            assert_certificate_holds(obj, sol, 1e-6)
+            decisions.add(sol.converged)
+    assert decisions == {True, False}
 
 
 def test_iteration_cap_of_one_is_not_certified():
@@ -130,14 +161,18 @@ def test_iteration_cap_of_one_is_not_certified():
 def test_indefinite_objective_is_never_falsely_certified():
     rng = np.random.default_rng(66)
     A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    obj = HomogenizedObjective(D=A + A.conj().T)
-    assert np.linalg.eigvalsh(obj.D)[0] < 0
+    # A + A^H = W diag(p) W^H from its eigendecomposition: p is signed
+    p, W = np.linalg.eigh(A + A.conj().T)
+    obj = HomogenizedObjective(W=W, p=p)
+    assert p.min() < 0 < p.max()
+    assert dense(obj) == pytest.approx(A + A.conj().T, abs=1e-12)
     for max_iter in (1, 5, 200):
-        assert_certificate_holds(obj, solve_sdp(obj, 1e-6, max_iter), 1e-6)
+        assert_certificate_holds(obj, solve_sdp(obj, 1e-6, max_iter), 1e-6,
+                                 exact=False)
 
 
 def test_randomize_is_deterministic_per_seed():
-    obj = HomogenizedObjective(D=HAND_D)
+    obj = HAND_D
     sol = solve_sdp(obj, tol=1e-9, max_iter=20000)
     q1 = randomize(sol, 25, obj, np.random.default_rng(42))
     q2 = randomize(sol, 25, obj, np.random.default_rng(42))
@@ -153,7 +188,8 @@ def test_power_scaling_rescales_objective_only():
                              sigma2=snap.sigma2, beta=snap.beta)
     obj = build_D(snap.H_d, snap.G, snap.P_t)
     obj2 = build_D(scaled.H_d, scaled.G, scaled.P_t)
-    assert np.array_equal(obj2.D, 2.0 * obj.D)
+    assert np.array_equal(obj2.W, obj.W)
+    assert np.array_equal(obj2.p, 2.0 * obj.p)
     cfg = OptimizerConfig(sdp_tol=1e-8, sdp_max_iter=5000,
                           randomization_draws=50)
     q1, _, _ = optimize_phases(snap, cfg, np.random.default_rng(9))
@@ -192,11 +228,16 @@ def test_direct_dominated_objective_does_not_collapse():
     # rounding under a short iteration cap must still return unit-modulus
     # phases no worse than all-ones
     N = 8
-    D = np.eye(N + 1, dtype=complex) * 1e-6
-    D[:N, N] = 0.3
-    D[N, :N] = 0.3
-    D[N, N] = 1e6
-    obj = HomogenizedObjective(D=D)
+    # D = 1e-6 I on the RIS block, 1e6 in the corner and 0.3 between them:
+    # unit columns carry the diagonal, and the coupling
+    # 0.3 (u e^T + e u^T) = 0.15 ((u + e)(u + e)^T - (u - e)(u - e)^T)
+    u, e = np.r_[np.ones(N), 0.0], np.r_[np.zeros(N), 1.0]
+    W = np.column_stack([np.eye(N + 1), u + e, u - e])
+    p = np.r_[np.full(N, 1e-6), 1e6, 0.15, -0.15]
+    obj = HomogenizedObjective(W=W, p=p)
+    D = dense(obj)
+    assert D[N, N] == pytest.approx(1e6) and D[0, N] == pytest.approx(0.3)
+    assert D[0, 0] == pytest.approx(1e-6) and D[0, 1] == pytest.approx(0.0)
     sol = solve_sdp(obj, tol=1e-4, max_iter=120)
     q = randomize(sol, 10, obj, np.random.default_rng(5))
     assert q.shape == (N,)
