@@ -98,8 +98,7 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
     rows = harness.run_sweep(cfg, args.var, values, args.trials,
                              seed=args.seed, n_jobs=args.jobs,
                              flush_path=args.out, flush_format=args.format)
-    _write_output(harness.format_table(rows, harness.RESULT_COLUMNS,
-                                       args.format), args.out)
+    _write_output(harness.format_results(rows, args.format), args.out)
     return 0
 
 
@@ -110,10 +109,9 @@ def _cmd_los_prob(cfg: ScenarioConfig, args) -> int:
     heights = _parse_values(args.heights)
     if args.samples < 1:
         raise ConfigError("samples must be >= 1")
-    rows = harness.los_probability_table(cfg, states, heights,
-                                         samples=args.samples, seed=args.seed)
-    columns = ("sea_state", "h_r0_m", "los_prob")
-    _write_output(harness.format_table(rows, columns, args.format), args.out)
+    table = harness.los_probability_table(cfg, states, heights,
+                                          samples=args.samples, seed=args.seed)
+    _write_output(harness.format_table(table, args.format), args.out)
     return 0
 
 
@@ -121,9 +119,8 @@ def _cmd_pathloss(cfg: ScenarioConfig, args) -> int:
     if args.points < 2 or args.d_max <= args.d_min or args.d_min <= 0:
         raise ConfigError("need d_min > 0, d_max > d_min, points >= 2")
     d_values = np.linspace(args.d_min, args.d_max, args.points)
-    rows = harness.pathloss_table(cfg, d_values)
-    columns = ("d_m", "los_db", "nlos_db", "free_space_db")
-    _write_output(harness.format_table(rows, columns, args.format), args.out)
+    table = harness.pathloss_table(cfg, d_values)
+    _write_output(harness.format_table(table, args.format), args.out)
     return 0
 
 
@@ -217,7 +214,7 @@ def _check_sweep_determinism():
     for jobs in (1, 1, 2):
         rows = harness.run_sweep(cfg, "hr0", [5.0], trials=2, seed=7,
                                  n_jobs=jobs)
-        texts.append(harness.format_table(rows, harness.RESULT_COLUMNS, "csv"))
+        texts.append(harness.format_results(rows, "csv"))
     assert texts[0] == texts[1], "repeat run differs"
     assert texts[0] == texts[2], "parallel run differs"
 

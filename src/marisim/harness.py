@@ -1,6 +1,11 @@
 """Monte-Carlo harness: Poisson IoT deployment, the per-coherence-interval
 pipeline (deploy, harvest, synthesize, estimate, optimize, evaluate), sweep
-drivers, and deterministic CSV/JSON result emission.
+drivers, the LoS-probability and path-loss tables, and deterministic CSV/JSON
+emission.
+
+Every table is a mapping from column name to an equal-length column, and
+one emitter, format_table, renders it, formatting each column once.  Sweep
+rows are transposed into that form only where they are written.
 
 Determinism contract: every trial owns an RNG stream seeded by the integer
 triple (seed, cell index, trial index), trials are collected in index order
@@ -12,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import math
 import multiprocessing
@@ -284,24 +288,40 @@ def _format_cell(v) -> str:
     return repr(float(v))
 
 
-def format_table(rows, columns, fmt: str = "csv") -> str:
-    """Render rows as CSV or JSON text; floats keep full round-trip precision."""
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
-        return buf.getvalue()
+def format_table(table, fmt: str = "csv") -> str:
+    """Render a table as CSV or JSON text; floats keep full round-trip
+    precision.
+
+    A table maps each column name to an equal-length 1-D sequence, in
+    column order.  Each column is formatted once, float arrays through
+    repr of their Python floats.  No cell marisim emits holds a comma, a
+    quote or a newline, so joining the cells gives csv.writer's bytes.
+    """
+    if fmt not in ("csv", "structured"):
+        raise ConfigError(f"unknown output format {fmt!r}")
+    columns = list(table.values())
     if fmt == "structured":
-        ordered = [{c: row[c] for c in columns} for row in rows]
+        values = [col.tolist() if isinstance(col, np.ndarray) else col
+                  for col in columns]
+        ordered = [dict(zip(table, row)) for row in zip(*values)]
         return json.dumps(ordered, indent=2) + "\n"
-    raise ConfigError(f"unknown output format {fmt!r}")
+    cells = [map(repr, col.tolist())
+             if isinstance(col, np.ndarray) and col.dtype.kind == "f"
+             else map(_format_cell, col) for col in columns]
+    lines = [",".join(table)]
+    lines.extend(map(",".join, zip(*cells)))
+    return "\n".join(lines) + "\n"
+
+
+def format_results(rows, fmt: str = "csv") -> str:
+    """Render sweep result rows, transposed to the RESULT_COLUMNS table."""
+    return format_table({c: [row[c] for row in rows] for c in RESULT_COLUMNS},
+                        fmt)
 
 
 def emit_results(rows, path, fmt: str = "csv") -> None:
     """Write a sweep result table; I/O errors carry the path."""
-    text = format_table(rows, RESULT_COLUMNS, fmt)
+    text = format_results(rows, fmt)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -337,28 +357,31 @@ def read_results(path) -> list:
 
 
 def los_probability_table(cfg: ScenarioConfig, states, heights,
-                          samples: int = 10_000, seed=None) -> list:
-    """LoS probability of the IoT->receiver hop per (sea state, mast height)."""
+                          samples: int = 10_000, seed=None) -> dict:
+    """LoS probability of the IoT->receiver hop per (sea state, mast height),
+    as sea_state, h_r0_m and los_prob columns, heights varying fastest."""
     if seed is None:
         seed = cfg.seed
+    levels = [int(level) for level in states]
+    heights = [float(h) for h in heights]
     tx = FloatingNode(position=cfg.geometry.turbine_position,
                       mast_height=cfg.geometry.iot_mast_m)
-    rows = []
-    for si, level in enumerate(states):
-        state = sea_surface.sea_state(int(level))
+    probs = []
+    for si, level in enumerate(levels):
+        state = sea_surface.sea_state(level)
         for hi, h in enumerate(heights):
-            rx = FloatingNode(position=cfg.geometry.rx_position,
-                              mast_height=float(h))
-            prob = sea_surface.los_probability(state, tx, rx, samples,
-                                               seed=[seed, si, hi],
-                                               source=cfg.geometry.wave_source)
-            rows.append({"sea_state": int(level), "h_r0_m": float(h),
-                         "los_prob": prob})
-    return rows
+            rx = FloatingNode(position=cfg.geometry.rx_position, mast_height=h)
+            probs.append(sea_surface.los_probability(
+                state, tx, rx, samples, seed=[seed, si, hi],
+                source=cfg.geometry.wave_source))
+    return {"sea_state": np.repeat(levels, len(heights)),
+            "h_r0_m": np.tile(heights, len(levels)),
+            "los_prob": np.array(probs)}
 
 
-def pathloss_table(cfg: ScenarioConfig, d_values) -> list:
-    """Loss of each propagation model over distance, shadowing disabled."""
+def pathloss_table(cfg: ScenarioConfig, d_values) -> dict:
+    """Loss of each propagation model over distance, shadowing disabled, as
+    d_m, los_db, nlos_db and free_space_db columns."""
     p = cfg.radio.pathloss
     d = np.asarray(d_values, dtype=float)
     below = d[d < p.d_0]
@@ -366,9 +389,6 @@ def pathloss_table(cfg: ScenarioConfig, d_values) -> list:
         raise ConfigError(f"distance {float(below[0])} m below the NLoS "
                           f"reference {p.d_0} m")
     h_t, h_r = cfg.geometry.iot_mast_m, cfg.geometry.rx_mast_m
-    columns = (d, channel.path_loss_los(d, h_t, h_r, p),
-               channel.path_loss_nlos(d, p),
-               channel.path_loss_free_space(d, p.f_c))
-    return [{"d_m": row[0], "los_db": row[1], "nlos_db": row[2],
-             "free_space_db": row[3]}
-            for row in zip(*(c.tolist() for c in columns))]
+    return {"d_m": d, "los_db": channel.path_loss_los(d, h_t, h_r, p),
+            "nlos_db": channel.path_loss_nlos(d, p),
+            "free_space_db": channel.path_loss_free_space(d, p.f_c)}

@@ -16,7 +16,8 @@ uncertified result is visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,13 +51,21 @@ class HomogenizedObjective:
 class SdpSolution:
     U: np.ndarray       # (N+1, r) factor with unit rows
     objective: float    # Tr(DV)
-    gap: float          # certified dual bound minus objective
     iterations: int
     converged: bool     # gap <= tol * |objective|
+    # the Schur test, lam and eps of the last check, kept for `gap`
+    exit_check: tuple = field(repr=False)
 
     @property
     def V(self) -> np.ndarray:
         return self.U @ self.U.conj().T
+
+    @cached_property
+    def gap(self) -> float:
+        """Certified dual bound minus objective, from bisection steps on the
+        exit check's Schur test, run on first read."""
+        test, lam, eps = self.exit_check
+        return -self.U.shape[0] * test.bound(lam, eps, self.converged)
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,7 @@ def reflection_objective(obj: HomogenizedObjective, q) -> float:
     return float(_values(obj, v))
 
 
-# Bisection steps on the Schur test that tighten the reported gap at exit.
+# Bisection steps on the Schur test that tighten the reported gap.
 _GAP_BISECTIONS = 8
 
 
@@ -180,7 +189,8 @@ def solve_sdp(obj: HomogenizedObjective, tol: float = 1e-6,
     optimum for any Hermitian D.  The solve stops when a k x k Schur test
     certifies mu >= -tol * |Tr(DV)| / n, that is sum(y) - Tr(DV) <=
     tol * |Tr(DV)|, and only then is it `converged`.  The reported gap comes
-    from a few bisection steps on the same test at exit.
+    from a few bisection steps on the same test, run when `gap` is first
+    read.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -206,9 +216,8 @@ def solve_sdp(obj: HomogenizedObjective, tol: float = 1e-6,
             next_check = 2 * k
         norms = np.linalg.norm(DU, axis=1, keepdims=True)
         U = np.divide(DU, norms, out=U, where=norms > 0)  # zero rows stay
-    gap = -n * test.bound(lam, eps, certified)
-    return SdpSolution(U=U, objective=value, gap=gap, iterations=k,
-                       converged=certified)
+    return SdpSolution(U=U, objective=value, iterations=k,
+                       converged=certified, exit_check=(test, lam, eps))
 
 
 def randomize(sol: SdpSolution, R: int, obj: HomogenizedObjective, rng) -> np.ndarray:

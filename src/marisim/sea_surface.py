@@ -4,6 +4,11 @@ The surface is one deterministic sine wave travelling from a distant source
 point.  Buoys ride the surface vertically (heave only).  A direct link is
 line-of-sight when neither side's nearest wave crest cuts the ray between
 the two antennas.
+
+One kernel, _los_mask, holds that geometry.  los_state runs it on a batch
+of buoys at one instant; los_probability draws all its samples up front and
+counts the mask over fixed slices of LOS_CHUNK samples, so the kernel's
+temporaries stay in cache.
 """
 
 from __future__ import annotations
@@ -17,6 +22,11 @@ GRAVITY = 9.81  # m/s^2
 
 # Far enough away that wave fronts are locally planar over a ~1 km site.
 DEFAULT_WAVE_SOURCE = (-10_000.0, 0.0)
+
+# Samples per slice of the LoS sampler: small enough that every temporary
+# of one _los_mask call stays in cache.
+LOS_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class SeaState:
@@ -130,29 +140,45 @@ def _source_unit(node: FloatingNode, wave: WaveField) -> np.ndarray:
     return (np.asarray(node.position, dtype=float) - wave.source) / d[..., None]
 
 
-def _wave_phase(node, wave, t, extra_dist=0.0):
+def _time_phase(wave: WaveField, t):
+    """Time term of the sine argument.  np.mod keeps it in [0, 2 pi) even
+    when a uniform draw of t rounds up to T_wave."""
+    return 2.0 * np.pi * np.mod(np.asarray(t, dtype=float), wave.T_wave) / wave.T_wave
+
+
+def _wave_phase(node, wave, time_phase, extra_dist=0.0):
     """Sine argument at the node; extra_dist offsets the travelled distance."""
     d_r = _source_distance(node, wave) + np.asarray(extra_dist, dtype=float)
-    return (2.0 * np.pi * np.mod(d_r, wave.l) / wave.l
-            + 2.0 * np.pi * np.mod(np.asarray(t, dtype=float), wave.T_wave) / wave.T_wave)
-
-
-def _height(node, wave, phase):
-    return wave.a * np.sin(phase) + node.mast_height
+    return 2.0 * np.pi * np.mod(d_r, wave.l) / wave.l + time_phase
 
 
 def antenna_height(node: FloatingNode, wave: WaveField, t):
     """Antenna height above the mean sea level at time t (seconds)."""
-    out = _height(node, wave, _wave_phase(node, wave, t))
+    phase = _wave_phase(node, wave, _time_phase(wave, t))
+    out = wave.a * np.sin(phase) + node.mast_height
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _peak_shift(a, l, phase):
-    # Rising buoy has the crest (a - delta)/(4a) wavelengths ahead of it,
-    # falling buoy the complement; delta is the vertical displacement.
-    delta = a * np.sin(phase)
-    frac = (a - delta) / (4.0 * a)
-    return np.where(np.cos(phase) >= 0.0, l * frac, l * (1.0 - frac))
+def _heave_and_shift(wave: WaveField, phase):
+    """Heave delta = a sin(phase) of a buoy and the downwind distance to its
+    nearest crest: a rising buoy has the crest (a - delta)/(4a) wavelengths
+    ahead of it, a falling buoy the complement."""
+    heave = wave.a * np.sin(phase)
+    frac = (wave.a - heave) / (4.0 * wave.a)
+    return heave, wave.l * np.where(np.cos(phase) >= 0.0, frac, 1.0 - frac)
+
+
+def _crest_geometry(node, peer, wave, time_phase, extra_dist):
+    """Antenna height of node, and the horizontal distance from the peer
+    antenna to node's nearest crest."""
+    heave, shift = _heave_and_shift(
+        wave, _wave_phase(node, wave, time_phase, extra_dist))
+    pos = np.asarray(node.position, dtype=float)
+    peer_pos = np.asarray(peer.position, dtype=float)
+    unit = _source_unit(node, wave)
+    return heave + node.mast_height, np.hypot(
+        peer_pos[..., 0] - (pos[..., 0] + shift * unit[..., 0]),
+        peer_pos[..., 1] - (pos[..., 1] + shift * unit[..., 1]))
 
 
 def _los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):
@@ -163,16 +189,9 @@ def _los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):
         raise ValueError("co-located nodes")
     if wave.a == 0:
         return np.broadcast_to(True, np.broadcast_shapes(np.shape(t), d.shape))
-    ph_t = _wave_phase(tx, wave, t, tx_extra_dist)
-    ph_r = _wave_phase(rx, wave, t, rx_extra_dist)
-    h_t = _height(tx, wave, ph_t)
-    h_r = _height(rx, wave, ph_r)
-    shift_t = _peak_shift(wave.a, wave.l, ph_t)
-    shift_r = _peak_shift(wave.a, wave.l, ph_r)
-    peak_t = tx.position + shift_t[..., None] * _source_unit(tx, wave)
-    peak_r = rx.position + shift_r[..., None] * _source_unit(rx, wave)
-    dist_t = _distance(rx.position, peak_t)
-    dist_r = _distance(tx.position, peak_r)
+    time_phase = _time_phase(wave, t)
+    h_t, dist_t = _crest_geometry(tx, rx, wave, time_phase, tx_extra_dist)
+    h_r, dist_r = _crest_geometry(rx, tx, wave, time_phase, rx_extra_dist)
     # arctan2 handles a crest exactly under the peer antenna (dist -> 0).
     phi_t = np.arctan2(h_r - h_t, d)
     psi_t = np.arctan2(h_r - wave.a, dist_t)
@@ -199,4 +218,10 @@ def los_probability(state: SeaState, tx: FloatingNode, rx: FloatingNode,
     t = rng.uniform(0.0, wave.T_wave, samples)
     off_t = rng.uniform(0.0, wave.l, samples)
     off_r = rng.uniform(0.0, wave.l, samples)
-    return float(np.mean(_los_mask(tx, rx, wave, t, off_t, off_r)))
+    # the count is an exact integer, so the slicing cannot change the mean
+    count = 0
+    for s in range(0, samples, LOS_CHUNK):
+        part = slice(s, s + LOS_CHUNK)
+        count += int(np.count_nonzero(
+            _los_mask(tx, rx, wave, t[part], off_t[part], off_r[part])))
+    return count / samples

@@ -133,8 +133,9 @@ def test_criterion_4_los_probability_trends(criterion):
     cfg = ScenarioConfig()
     states = [2, 3, 4, 5, 6, 7, 8]
     heights = [2.0, 5.0, 10.0, 20.0, 30.0]
-    rows = los_probability_table(cfg, states, heights, samples=10_000, seed=0)
-    prob = {(r["sea_state"], r["h_r0_m"]): r["los_prob"] for r in rows}
+    table = los_probability_table(cfg, states, heights, samples=10_000, seed=0)
+    prob = dict(zip(zip(table["sea_state"].tolist(), table["h_r0_m"].tolist()),
+                    table["los_prob"].tolist()))
     monotone = all(prob[(s, a)] <= prob[(s, b)] + 1e-12
                    for s in states for a, b in zip(heights, heights[1:]))
     elapsed = time.perf_counter() - t0

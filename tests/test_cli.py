@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -103,6 +104,34 @@ def test_pathloss_table_stdout(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "d_m,los_db,nlos_db,free_space_db"
     assert len(lines) == 4
+
+
+# sha256 of each subcommand's output, in csv and structured form
+GOLDEN = [
+    (["pathloss", "--d-min", "37.5", "--d-max", "2400", "--points", "3001"],
+     "03950b2bdfafc3c0bf9e57c05075b27ea216b58b6662c9bc91cf916eb7c1aa76",
+     "28be8c4bc7ffeba5e5a86d95197d458ca356cf4690b06997767089cbc90592fa"),
+    (["los-prob", "--states", "3,8", "--heights", "2,30", "--samples", "4000",
+      "--seed", "5"],
+     "8526fcc2a22790fa8509eee977c47335f2edaa57b4ff06dafdf17de0c129bda7",
+     "4b4da6fb76c1326db8ab96be26cd1fd6044484427720fc80490268020159d1e8"),
+    (["sweep", "--var", "hr0", "--values", "5,7", "--trials", "2",
+      "--seed", "4"],
+     "fe6087c3f62b164be5a8e25cf13efbf7dfb874455ff4d7ae1b1cbeca6978180c",
+     "9b7d5d9e987d71da242f071b2e85bcbfcdb407658a881096044385b31d3808e4"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_sha, structured_sha", GOLDEN,
+                         ids=["pathloss", "los-prob", "sweep"])
+def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
+                                          tiny_ini, tmp_path):
+    if argv[0] == "sweep":
+        argv = argv + ["--config", tiny_ini]
+    for fmt, sha in (("csv", csv_sha), ("structured", structured_sha)):
+        out = tmp_path / f"out.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("argv", [

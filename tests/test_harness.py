@@ -1,7 +1,9 @@
 """Monte-Carlo harness: deployment statistics, interval pipeline, sweeps,
 and deterministic result emission."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -20,6 +22,7 @@ from marisim.config import (
 from marisim.energy import available_tx_power, harvested_power
 from marisim.harness import (
     RESULT_COLUMNS,
+    _format_cell,
     aggregate_cell,
     deploy_iots,
     emit_results,
@@ -199,28 +202,58 @@ def test_emit_empty_table_writes_header_only(tmp_path):
 
 
 def test_format_table_structured_and_unknown_format():
-    rows = [{"a": 1, "b": 0.5}]
-    text = format_table(rows, ("a", "b"), "structured")
+    table = {"a": [1], "b": np.array([0.5])}
+    text = format_table(table, "structured")
     assert json.loads(text) == [{"a": 1, "b": 0.5}]
     with pytest.raises(ConfigError):
-        format_table(rows, ("a", "b"), "xml")
+        format_table(table, "xml")
+
+
+def reference_csv(table) -> str:
+    """csv.writer over per-row cells, the emitter as first written."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table)
+    for row in zip(*table.values()):
+        writer.writerow([_format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def test_format_table_matches_csv_writer_reference():
+    table = {"sweep_var": ["hr0", "n", "sea", "pmax"],
+             "count": [1, np.int64(-2), 0, 3],
+             "x": np.array([math.nan, math.inf, -0.0, 1e-300]),
+             "y": [1e-300, -math.inf, 5.0, 0.1],
+             "level": np.array([3, 4, 5, 8])}
+    text = format_table(table, "csv")
+    assert text == reference_csv(table)
+    assert text.splitlines()[2] == "n,-2,inf,-inf,4"
+    assert text.splitlines()[3] == "sea,0,-0.0,5.0,5"
+    # json writes Python ints only, as the emitter always did
+    table["count"] = [1, -2, 0, 3]
+    rows = [{c: (v.tolist() if isinstance(v, np.ndarray) else v)[i]
+             for c, v in table.items()} for i in range(4)]
+    assert format_table(table, "structured") == json.dumps(rows, indent=2) + "\n"
+    assert format_table({"a": [], "b": np.array([])}) == "a,b\n"
 
 
 def test_los_probability_table_shape_and_range():
     cfg = small_cfg()
-    rows = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=500, seed=8)
-    assert [(r["sea_state"], r["h_r0_m"]) for r in rows] == [
+    table = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=500, seed=8)
+    assert list(table) == ["sea_state", "h_r0_m", "los_prob"]
+    assert list(zip(table["sea_state"].tolist(), table["h_r0_m"].tolist())) == [
         (3, 2.0), (3, 30.0), (7, 2.0), (7, 30.0)]
-    assert all(0.0 <= r["los_prob"] <= 1.0 for r in rows)
+    assert all(0.0 <= p <= 1.0 for p in table["los_prob"])
     again = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=500, seed=8)
-    assert rows == again
+    assert all(np.array_equal(table[c], again[c]) for c in table)
 
 
 def test_pathloss_table_columns_and_guard():
     cfg = small_cfg()
-    rows = pathloss_table(cfg, [100.0, 500.0])
-    assert rows[0]["d_m"] == 100.0
-    assert rows[1]["nlos_db"] > rows[1]["los_db"]
+    table = pathloss_table(cfg, [100.0, 500.0])
+    assert list(table) == ["d_m", "los_db", "nlos_db", "free_space_db"]
+    assert table["d_m"][0] == 100.0
+    assert table["nlos_db"][1] > table["los_db"][1]
     with pytest.raises(ConfigError):
         pathloss_table(cfg, [0.5])
 

@@ -10,9 +10,12 @@ from marisim.sea_surface import (
     BUILTIN_SEA_STATES,
     FloatingNode,
     GRAVITY,
+    LOS_CHUNK,
     SeaState,
     WaveField,
-    _peak_shift,
+    _heave_and_shift,
+    _los_mask,
+    _time_phase,
     _wave_phase,
     antenna_height,
     los_probability,
@@ -97,7 +100,8 @@ def test_heave_direction_matches_height_slope():
         dh = antenna_height(node, wave, t + eps) - antenna_height(node, wave, t)
         if abs(dh) < 1e-9:  # turning point, direction is a tie-break
             continue
-        shift = _peak_shift(wave.a, wave.l, _wave_phase(node, wave, t))
+        _, shift = _heave_and_shift(
+            wave, _wave_phase(node, wave, _time_phase(wave, t)))
         if dh > 0:
             assert 0.0 <= shift <= wave.l / 2
         else:
@@ -107,7 +111,7 @@ def test_heave_direction_matches_height_slope():
 def test_nearest_peak_lies_within_one_wavelength_downwind():
     wave = default_wave(6)
     for phase in np.linspace(0.0, 2.0 * np.pi, 65):
-        assert 0.0 <= _peak_shift(wave.a, wave.l, phase) <= wave.l
+        assert 0.0 <= _heave_and_shift(wave, phase)[1] <= wave.l
 
 
 def test_angle_helpers_validate_distances():
@@ -177,3 +181,83 @@ def test_rough_sea_blocks_low_antennas_more_often():
     p_mild = los_probability(sea_state(3), tx, rx, samples=4000, seed=9)
     p_rough = los_probability(sea_state(8), tx, rx, samples=4000, seed=9)
     assert p_rough < p_mild
+
+
+def reference_los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):
+    """The LoS test as first written, one helper call per quantity: each
+    side's phase, height and crest shift from its own sin and cos, and the
+    crests as (n, 2) positions."""
+    def distance(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
+
+    def phase(node, extra):
+        d_r = distance(node.position, wave.source) + np.asarray(extra, dtype=float)
+        return (2.0 * np.pi * np.mod(d_r, wave.l) / wave.l
+                + 2.0 * np.pi * np.mod(np.asarray(t, dtype=float), wave.T_wave)
+                / wave.T_wave)
+
+    def peak(node, ph):
+        delta = wave.a * np.sin(ph)
+        frac = (wave.a - delta) / (4.0 * wave.a)
+        shift = np.where(np.cos(ph) >= 0.0, wave.l * frac, wave.l * (1.0 - frac))
+        unit = ((np.asarray(node.position, dtype=float) - wave.source)
+                / distance(node.position, wave.source)[..., None])
+        return node.position + shift[..., None] * unit
+
+    d = distance(tx.position, rx.position)
+    ph_t, ph_r = phase(tx, tx_extra_dist), phase(rx, rx_extra_dist)
+    h_t = wave.a * np.sin(ph_t) + tx.mast_height
+    h_r = wave.a * np.sin(ph_r) + rx.mast_height
+    dist_t = distance(rx.position, peak(tx, ph_t))
+    dist_r = distance(tx.position, peak(rx, ph_r))
+    phi_t = np.arctan2(h_r - h_t, d)
+    psi_t = np.arctan2(h_r - wave.a, dist_t)
+    psi_r = np.arctan2(h_t - wave.a, dist_r)
+    return (phi_t <= psi_t) & (-phi_t <= psi_r)
+
+
+def sampler_draws(wave, samples, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0.0, wave.T_wave, samples),
+            rng.uniform(0.0, wave.l, samples),
+            rng.uniform(0.0, wave.l, samples))
+
+
+@pytest.mark.parametrize("level", range(2, 9))
+def test_los_mask_is_bit_equal_to_the_reference(level):
+    wave = default_wave(level)
+    tx = FloatingNode((30.0, -40.0), 2.0)   # off the wave's axis
+    t, off_t, off_r = sampler_draws(wave, 100_000, level)
+    t[:3] = wave.T_wave     # a uniform draw can round up to the period
+    assert _time_phase(wave, t[:3]).tolist() == [0.0] * 3
+    for h in (2.0, 10.0, 30.0):
+        rx = FloatingNode((180.0, 70.0), h)
+        mask = _los_mask(tx, rx, wave, t, off_t, off_r)
+        ref = reference_los_mask(tx, rx, wave, t, off_t, off_r)
+        assert mask.dtype == bool and np.array_equal(mask, ref)
+
+
+@pytest.mark.parametrize("level", [3, 6, 8])
+def test_batch_los_mask_is_bit_equal_to_the_reference(level):
+    wave = default_wave(level)
+    batch = FloatingNode(
+        np.random.default_rng(level).uniform(-150.0, 150.0, (64, 2)), 2.0)
+    rx = FloatingNode((200.0, 0.0), 5.0)
+    for t in (0.0, 4.2, wave.T_wave):
+        flags = los_state(batch, rx, wave, t)
+        assert np.array_equal(flags, reference_los_mask(batch, rx, wave, t))
+
+
+@pytest.mark.parametrize("samples", [1, LOS_CHUNK - 1, LOS_CHUNK,
+                                     LOS_CHUNK + 1, 20_000])
+def test_chunked_los_probability_equals_the_reference_mean(samples):
+    tx = FloatingNode((0.0, 0.0), 2.0)
+    rx = FloatingNode((200.0, 0.0), 5.0)
+    state = sea_state(6)
+    wave = wave_from_sea_state(state)
+    t, off_t, off_r = sampler_draws(wave, samples, 11)
+    expected = float(np.mean(reference_los_mask(tx, rx, wave, t, off_t, off_r)))
+    assert los_probability(state, tx, rx, samples, seed=11) == expected
+    if samples > 1:
+        assert 0.0 < expected < 1.0
