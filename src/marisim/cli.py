@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import channel, energy, estimation, harness, optimizer, ris_system
-from .config import ConfigError, ScenarioConfig, _as_int, load_config
+from .config import (ConfigError, SWEEP_VARIABLES, ScenarioConfig, load_config,
+                     sea_level)
 from .sea_surface import sea_state
 
 
@@ -31,7 +32,7 @@ def _build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", help="Monte-Carlo sweep over one variable")
     sweep.add_argument("--config", help="scenario INI file")
-    sweep.add_argument("--var", required=True, choices=["hr0", "n", "pmax", "sea"])
+    sweep.add_argument("--var", required=True, choices=SWEEP_VARIABLES)
     sweep.add_argument("--values", required=True,
                        help="comma-separated sweep values")
     sweep.add_argument("--trials", type=int, default=100)
@@ -103,9 +104,7 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_los_prob(cfg: ScenarioConfig, args) -> int:
-    states = [_as_int(v, "sea state") for v in _parse_values(args.states)]
-    if min(states) < 0:
-        raise ConfigError("sea states must be >= 0")
+    states = [sea_level(v) for v in _parse_values(args.states)]
     heights = _parse_values(args.heights)
     if args.samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -161,7 +160,7 @@ def _check_sdp_hand_instance():
 def _check_objective_identity():
     rng = np.random.default_rng(2)
     snap = _random_instance(rng, N=5, M=3, I=2)
-    obj = optimizer.build_D(snap.H_d, snap.G, snap.P_t)
+    obj = optimizer.build_D(snap)
     q = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
     rows = ris_system.combined_channel(snap.direct_rows, q, snap.G)
     direct = np.sum(snap.P_t * np.sum(np.abs(rows) ** 2, axis=1))

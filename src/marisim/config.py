@@ -2,7 +2,9 @@
 
 Config files use unit-tagged keys (``_m``, ``_hz``, ``_dbw``, ``_w``) so a
 number is never ambiguous; unknown sections or keys are rejected outright.
-Power-like quantities accept exactly one of a ``_w`` / ``_dbw`` pair.
+One table, _SCHEMA, gives each key its parser and the dotted path of the
+field it sets; a ``_w`` / ``_dbw`` pair names one field, so the two keys are
+alternatives.  Every number must be finite.
 """
 
 from __future__ import annotations
@@ -20,6 +22,22 @@ from .sea_surface import DEFAULT_WAVE_SOURCE
 
 class ConfigError(ValueError):
     """Malformed scenario configuration (CLI exit code 1)."""
+
+
+def _as_int(value, what: str) -> int:
+    if not float(value).is_integer():   # also rejects nan and inf
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(float(value))
+
+
+def sea_level(value) -> int:
+    """The one sea-state rule, shared by the loader, the sea sweep and
+    los-prob: an integer >= 2.  Levels 0 and 1 are calm seas that define no
+    wave period, so no interval or LoS sample exists there."""
+    level = _as_int(value, "sea state")
+    if level < 2:
+        raise ConfigError(f"sea state must be an integer >= 2, got {value!r}")
+    return level
 
 
 @dataclass(frozen=True)
@@ -108,9 +126,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # states 0-1 define no wave period, so no interval can be simulated
-        if int(self.sea_state) != self.sea_state or self.sea_state < 2:
-            raise ConfigError("sea_state must be an integer >= 2")
+        sea_level(self.sea_state)
         if not self.interval_duration_s > 0:
             raise ConfigError("interval_duration_s must be positive")
         if int(self.seed) != self.seed or self.seed < 0:
@@ -128,78 +144,104 @@ class ScenarioConfig:
         return max(1, round(self.geometry.mean_iot_count))
 
 
-SWEEP_VARIABLES = ("hr0", "n", "pmax", "sea")
+def _parse(kind, raw, what: str):
+    """The one parse step, INI text or sweep value -> field value: bool
+    words, integers, or kind (float, a unit conversion or the sea-state
+    rule) applied to a float.  Non-finite numbers are rejected."""
+    try:
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        value = _as_int(raw, what) if kind is int else kind(float(raw))
+        if not math.isfinite(value):
+            raise ValueError(f"{what} must be finite")
+        return value
+    except ConfigError:
+        raise
+    except (KeyError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bad value for {what}: {raw!r}") from exc
 
 
-def _as_int(value, what: str) -> int:
-    if not float(value).is_integer():   # also rejects nan and inf
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(float(value))
+def _replace(obj, changes: dict):
+    """Copy of obj with each dotted field path in changes set; a digit names
+    a tuple coordinate.  Each dataclass on the paths is rebuilt once, by
+    dataclasses.replace, so every __post_init__ check runs."""
+    if isinstance(obj, tuple):
+        return tuple(changes.get(str(i), v) for i, v in enumerate(obj))
+    groups: dict = {}
+    for path, value in changes.items():
+        head, _, rest = path.partition(".")
+        groups.setdefault(head, {})[rest] = value
+    fields = {head: sub[""] if "" in sub else _replace(getattr(obj, head), sub)
+              for head, sub in groups.items()}
+    try:
+        return dataclasses.replace(obj, **fields)
+    except ValueError as exc:  # dataclass validation from the leaf modules
+        raise ConfigError(str(exc)) from exc
+
+
+# sweep variable -> (parser, field path), read like _SCHEMA's rows
+SWEEP_VARIABLES = {"hr0": (float, "geometry.rx_mast_m"),
+                   "n": (int, "radio.n_elements"),
+                   "pmax": (float, "energy.P_max"),
+                   "sea": (sea_level, "sea_state")}
 
 
 def apply_sweep_value(cfg: ScenarioConfig, variable: str, value) -> ScenarioConfig:
     """New config with one sweep variable overridden."""
-    if variable == "hr0":
-        geo = dataclasses.replace(cfg.geometry, rx_mast_m=float(value))
-        return dataclasses.replace(cfg, geometry=geo)
-    if variable == "n":
-        radio = dataclasses.replace(cfg.radio, n_elements=_as_int(value, "n"))
-        return dataclasses.replace(cfg, radio=radio)
-    if variable == "pmax":
-        wec = dataclasses.replace(cfg.energy, P_max=float(value))
-        return dataclasses.replace(cfg, energy=wec)
-    if variable == "sea":
-        return dataclasses.replace(cfg, sea_state=_as_int(value, "sea"))
-    raise ConfigError(f"unknown sweep variable {variable!r}; "
-                      f"choose from {', '.join(SWEEP_VARIABLES)}")
+    if variable not in SWEEP_VARIABLES:
+        raise ConfigError(f"unknown sweep variable {variable!r}; "
+                          f"choose from {', '.join(SWEEP_VARIABLES)}")
+    kind, path = SWEEP_VARIABLES[variable]
+    return _replace(cfg, {path: _parse(kind, value, variable)})
 
 
-# section -> key -> parser; the loader rejects anything not listed here
-_FLOAT = float
+# section -> key -> (parser, field path); the loader rejects anything not
+# listed here, and keys that share a path are alternatives for one field
 _SCHEMA = {
-    "scenario": {"sea_state": int, "seed": int,
-                 "interval_duration_s": _FLOAT},
-    "geometry": {"turbine_x_m": _FLOAT, "turbine_y_m": _FLOAT,
-                 "ris_height_m": _FLOAT, "turbine_diameter_m": _FLOAT,
-                 "buoy_distance_m": _FLOAT, "deploy_radius_m": _FLOAT,
-                 "mean_iot_count": _FLOAT, "rx_mast_m": _FLOAT,
-                 "iot_mast_m": _FLOAT, "wave_source_x_m": _FLOAT,
-                 "wave_source_y_m": _FLOAT},
-    "radio": {"m_antennas": int, "n_elements": int, "beta_hz": _FLOAT,
-              "sigma2_dbw": _FLOAT, "sigma2_w": _FLOAT, "f_c_hz": _FLOAT,
-              "h_e_m": _FLOAT, "k_nlos_db": _FLOAT, "alpha_nlos": _FLOAT,
-              "d_0_m": _FLOAT, "sigma_los_db": _FLOAT, "sigma_nlos_db": _FLOAT,
-              "g_t_db": _FLOAT, "g_r_db": _FLOAT},
-    "energy": {"eta_pto": _FLOAT, "eta_conv": _FLOAT, "gamma_cwr": _FLOAT,
-               "capture_width_m": _FLOAT, "rho_kg_m3": _FLOAT,
-               "gravity_m_s2": _FLOAT, "p_0_w": _FLOAT, "p_max_w": _FLOAT,
-               "p_max_dbw": _FLOAT},
-    "estimation": {"b_subframes": int, "t_pilot_len": int, "noiseless": bool},
-    "optimizer": {"sdp_tol": _FLOAT, "sdp_max_iter": int,
-                  "randomization_draws": int},
+    "scenario": {"sea_state": (sea_level, "sea_state"),
+                 "seed": (int, "seed"),
+                 "interval_duration_s": (float, "interval_duration_s")},
+    "geometry": {"turbine_x_m": (float, "geometry.turbine_position.0"),
+                 "turbine_y_m": (float, "geometry.turbine_position.1"),
+                 "ris_height_m": (float, "geometry.ris_height_m"),
+                 "turbine_diameter_m": (float, "geometry.turbine_diameter_m"),
+                 "buoy_distance_m": (float, "geometry.buoy_distance_m"),
+                 "deploy_radius_m": (float, "geometry.deploy_radius_m"),
+                 "mean_iot_count": (float, "geometry.mean_iot_count"),
+                 "rx_mast_m": (float, "geometry.rx_mast_m"),
+                 "iot_mast_m": (float, "geometry.iot_mast_m"),
+                 "wave_source_x_m": (float, "geometry.wave_source.0"),
+                 "wave_source_y_m": (float, "geometry.wave_source.1")},
+    "radio": {"m_antennas": (int, "radio.m_antennas"),
+              "n_elements": (int, "radio.n_elements"),
+              "beta_hz": (float, "radio.beta_hz"),
+              "sigma2_dbw": (float, "radio.sigma2_dbw"),
+              "sigma2_w": (pow2db, "radio.sigma2_dbw"),
+              "f_c_hz": (float, "radio.pathloss.f_c"),
+              "h_e_m": (float, "radio.pathloss.h_e"),
+              "k_nlos_db": (float, "radio.pathloss.K"),
+              "alpha_nlos": (float, "radio.pathloss.alpha"),
+              "d_0_m": (float, "radio.pathloss.d_0"),
+              "sigma_los_db": (float, "radio.pathloss.sigma_los"),
+              "sigma_nlos_db": (float, "radio.pathloss.sigma_nlos"),
+              "g_t_db": (float, "radio.pathloss.G_t"),
+              "g_r_db": (float, "radio.pathloss.G_r")},
+    "energy": {"eta_pto": (float, "energy.eta_pto"),
+               "eta_conv": (float, "energy.eta_conv"),
+               "gamma_cwr": (float, "energy.gamma_cwr"),
+               "capture_width_m": (float, "energy.W"),
+               "rho_kg_m3": (float, "energy.rho"),
+               "gravity_m_s2": (float, "energy.g"),
+               "p_0_w": (float, "energy.P_0"),
+               "p_max_w": (float, "energy.P_max"),
+               "p_max_dbw": (db2pow, "energy.P_max")},
+    "estimation": {"b_subframes": (int, "estimation.b_subframes"),
+                   "t_pilot_len": (int, "estimation.t_pilot_len"),
+                   "noiseless": (bool, "estimation.noiseless")},
+    "optimizer": {"sdp_tol": (float, "optimizer.sdp_tol"),
+                  "sdp_max_iter": (int, "optimizer.sdp_max_iter"),
+                  "randomization_draws": (int, "optimizer.randomization_draws")},
 }
-
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
-
-
-def _parse_value(section: str, key: str, raw: str):
-    kind = _SCHEMA[section][key]
-    try:
-        if kind is bool:
-            return _BOOL_WORDS[raw.strip().lower()]
-        if kind is int:
-            return _as_int(raw, f"{section}.{key}")
-        return kind(raw)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-
-
-def _exclusive(values: dict, key_linear: str, key_db: str, section: str):
-    """Resolve a quantity given in exactly one of watts / dBW."""
-    if key_linear in values and key_db in values:
-        raise ConfigError(f"give {section} power as {key_linear} or "
-                          f"{key_db}, not both")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -213,68 +255,16 @@ def load_config(path) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    values: dict = {}
+    changes: dict = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        values[section] = {}
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[section][key] = _parse_value(section, key, raw)
-
-    sc = values.get("scenario", {})
-    geo = values.get("geometry", {})
-    rad = values.get("radio", {})
-    eng = values.get("energy", {})
-    est = values.get("estimation", {})
-    opt = values.get("optimizer", {})
-
-    _exclusive(rad, "sigma2_w", "sigma2_dbw", "radio")
-    _exclusive(eng, "p_max_w", "p_max_dbw", "energy")
-
-    geometry_kwargs = {}
-    if "turbine_x_m" in geo or "turbine_y_m" in geo:
-        geometry_kwargs["turbine_position"] = (geo.pop("turbine_x_m", 0.0),
-                                               geo.pop("turbine_y_m", 0.0))
-    if "wave_source_x_m" in geo or "wave_source_y_m" in geo:
-        geometry_kwargs["wave_source"] = (
-            geo.pop("wave_source_x_m", DEFAULT_WAVE_SOURCE[0]),
-            geo.pop("wave_source_y_m", DEFAULT_WAVE_SOURCE[1]))
-    geometry_kwargs.update(geo)
-
-    pathloss_map = {"f_c_hz": "f_c", "h_e_m": "h_e", "k_nlos_db": "K",
-                    "alpha_nlos": "alpha", "d_0_m": "d_0",
-                    "sigma_los_db": "sigma_los", "sigma_nlos_db": "sigma_nlos",
-                    "g_t_db": "G_t", "g_r_db": "G_r"}
-    pl_kwargs = {pathloss_map[k]: v for k, v in rad.items() if k in pathloss_map}
-    radio_kwargs = {k: v for k, v in rad.items() if k not in pathloss_map}
-    if "sigma2_w" in radio_kwargs:
-        sigma2_w = radio_kwargs.pop("sigma2_w")
-        if not sigma2_w > 0:
-            raise ConfigError("sigma2_w must be positive")
-        radio_kwargs["sigma2_dbw"] = pow2db(sigma2_w)
-    if pl_kwargs:
-        radio_kwargs["pathloss"] = PathLossParams(**pl_kwargs)
-
-    energy_map = {"eta_pto": "eta_pto", "eta_conv": "eta_conv",
-                  "gamma_cwr": "gamma_cwr", "capture_width_m": "W",
-                  "rho_kg_m3": "rho", "gravity_m_s2": "g", "p_0_w": "P_0",
-                  "p_max_w": "P_max"}
-    wec_kwargs = {energy_map[k]: v for k, v in eng.items() if k in energy_map}
-    if "p_max_dbw" in eng:
-        wec_kwargs["P_max"] = db2pow(eng["p_max_dbw"])
-
-    try:
-        return ScenarioConfig(
-            geometry=GeometryConfig(**geometry_kwargs),
-            radio=RadioConfig(**radio_kwargs),
-            energy=WecParams(**wec_kwargs),
-            estimation=EstimationConfig(**est),
-            optimizer=OptimizerConfig(**opt),
-            **sc,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:  # dataclass validation from the leaf modules
-        raise ConfigError(str(exc)) from exc
+            kind, path = _SCHEMA[section][key]
+            if path in changes:
+                raise ConfigError(f"[{section}] {key} sets {path} again; "
+                                  f"give one of its alternative keys")
+            changes[path] = _parse(kind, raw, f"{section}.{key}")
+    return _replace(ScenarioConfig(), changes)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, energy, estimation, optimizer, ris_system, sea_surface
-from .config import ConfigError, ScenarioConfig, SWEEP_VARIABLES, apply_sweep_value
+from .config import (ConfigError, ScenarioConfig, SWEEP_VARIABLES,
+                     apply_sweep_value, sea_level)
 from .sea_surface import FloatingNode
 
 RESULT_COLUMNS = ("sweep_var", "value", "sea_state", "mean_rate_ris",
@@ -257,7 +258,7 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int,
     if variable == "sea":
         if sea_states is not None:
             raise ConfigError("a sea-state sweep fixes the states itself")
-        cells = [(v, int(v)) for v in values]
+        cells = [(v, sea_level(v)) for v in values]
     else:
         states = [cfg.sea_state] if sea_states is None else list(sea_states)
         cells = [(v, int(s)) for v in values for s in states]

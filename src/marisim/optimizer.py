@@ -79,32 +79,22 @@ class OptimizerConfig:
             raise ValueError("sdp_max_iter and randomization_draws must be >= 1")
 
 
-def build_D(Hd: np.ndarray, G, P_t) -> HomogenizedObjective:
-    """Factored homogenized objective from channels and powers.
+def build_D(snap: NetworkSnapshot) -> HomogenizedObjective:
+    """Factored homogenized objective from a snapshot's channels and powers.
 
-    With W_i = [G_i; h_i], h_i the conjugated column i of Hd, IoT i's power
+    With W_i = [G_i; h_i], h_i the conjugated column i of H_d, IoT i's power
     ||h_i + q G_i||^2 is [q, 1] W_i W_i^H [q, 1]^H, so D = sum_i P_i W_i W_i^H
     = W diag(p) W^H with W = [W_1, ..., W_I] and p = repeat(P_t, M).  Only
-    W and p are returned; D itself is never formed.
+    W and p are returned; D itself is never formed.  The snapshot has
+    already checked every shape and power.
     """
-    Hd = np.asarray(Hd, dtype=complex)
-    G = np.asarray(G, dtype=complex)   # ragged input raises here
-    P_t = np.asarray(P_t, dtype=float)
-    if Hd.ndim != 2:
-        raise ValueError("Hd must be M x I")
-    M, I = Hd.shape
-    if G.ndim != 3 or G.shape[0] != I or G.shape[2] != M:
-        raise ValueError("G must be I x N x M")
-    if P_t.shape != (I,):
-        raise ValueError("need one power per IoT")
-    if np.any(P_t < 0):
-        raise ValueError("powers must be non-negative")
-    N = G.shape[1]
-    W = np.concatenate([G, Hd.T.conj()[:, None, :]], axis=1)   # (I, N+1, M)
+    I, N, M = snap.G.shape
+    # the blocks W_i stacked as (I, N+1, M), then laid side by side
+    W = np.concatenate([snap.G, snap.H_d.T.conj()[:, None, :]], axis=1)
     W = W.transpose(1, 0, 2).reshape(N + 1, I * M)
     # the powers weight the columns and sit under no square root, so
     # scaling them scales every objective value exactly
-    return HomogenizedObjective(W=W, p=np.repeat(P_t, M))
+    return HomogenizedObjective(W=W, p=np.repeat(snap.P_t, M))
 
 
 def _values(obj: HomogenizedObjective, V: np.ndarray):
@@ -245,7 +235,7 @@ def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng):
     Returns (q, capacity, sol): the relaxed SdpSolution is kept for
     diagnostics, and is None when there is no RIS (N = 0).
     """
-    obj = build_D(snap.H_d, snap.G, snap.P_t)
+    obj = build_D(snap)
     N = obj.N
     ones = np.ones(N, dtype=complex)
     if N == 0:

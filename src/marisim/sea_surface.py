@@ -35,8 +35,8 @@ class SeaState:
     level: int | str
     height_range: tuple[float, float]
     height_mean: float
-    period_range: tuple[float, float] | None = None
-    period_mean: float | None = None
+    period_range: tuple[float, float]
+    period_mean: float
 
     def __post_init__(self):
         lo, hi = self.height_range
@@ -44,16 +44,14 @@ class SeaState:
             raise ValueError("height_range needs min < max")
         if not lo <= self.height_mean <= hi:
             raise ValueError("height_mean outside height_range")
-        if self.period_range is not None:
-            plo, phi = self.period_range
-            if self.period_mean is None or not plo <= self.period_mean <= phi:
-                raise ValueError("period_mean outside period_range")
+        plo, phi = self.period_range
+        if not plo <= self.period_mean <= phi:
+            raise ValueError("period_mean outside period_range")
 
 
-# Standard sea-state code. Levels 0 and 1 share the calm row, which defines
-# no wave period; integer levels above 8 fold into the ">8" row.
+# Standard sea-state code from level 2 up; integer levels above 8 fold into
+# the ">8" row.  The calm levels 0 and 1 define no wave period and have no row.
 BUILTIN_SEA_STATES = (
-    SeaState("0-1", (0.0, 0.1), 0.05, None, None),
     SeaState(2, (0.1, 0.5), 0.3, (3.0, 15.0), 7.0),
     SeaState(3, (0.5, 1.25), 0.875, (5.0, 15.5), 8.0),
     SeaState(4, (1.25, 2.5), 1.875, (6.0, 16.0), 9.0),
@@ -66,15 +64,12 @@ BUILTIN_SEA_STATES = (
 
 
 def sea_state(level) -> SeaState:
-    """Look up a sea-state row by level (0..8, ">8", or any int above 8)."""
+    """Look up a sea-state row by level (2..8, ">8", or any int above 8)."""
     for row in BUILTIN_SEA_STATES:
         if row.level == level:
             return row
-    if isinstance(level, (int, np.integer)) and level >= 0:
-        folded = "0-1" if level <= 1 else ">8"
-        for row in BUILTIN_SEA_STATES:
-            if row.level == folded:
-                return row
+    if isinstance(level, (int, np.integer)) and level > 8:
+        return BUILTIN_SEA_STATES[-1]
     raise KeyError(f"unknown sea state {level!r}")
 
 
@@ -111,8 +106,6 @@ class FloatingNode:
 
 def wave_from_sea_state(state: SeaState, source=DEFAULT_WAVE_SOURCE) -> WaveField:
     """Sea-state row -> sine parameters; wavelength from deep-water dispersion."""
-    if state.period_mean is None:
-        raise ValueError(f"sea state {state.level} defines no wave period")
     T = float(state.period_mean)
     return WaveField(
         a=state.height_mean / 2.0,  # table heights are crest-to-trough

@@ -93,7 +93,7 @@ def test_criterion_2_optimizer_near_exhaustive_search(criterion):
         I = int(rng.integers(1, 3))
         snap = random_snapshot(rng, N, M, I)
         q_bf, c_bf = optimizer.brute_force_phases(snap, levels=16)
-        obj = optimizer.build_D(snap.H_d, snap.G, snap.P_t)
+        obj = optimizer.build_D(snap)
         bf_objective = optimizer.reflection_objective(obj, q_bf)
         _, c_star, sol = optimizer.optimize_phases(
             snap, cfg, np.random.default_rng([1002, k]))

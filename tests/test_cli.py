@@ -7,6 +7,7 @@ import subprocess
 
 import pytest
 
+from marisim import sea_surface
 from marisim.cli import main
 from marisim.harness import RESULT_COLUMNS, read_results
 
@@ -145,7 +146,12 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["los-prob", "--states", "-1"],                   # negative sea state
     ["los-prob", "--states", "3.5"],                  # non-integer sea state
     ["los-prob", "--states", "nan"],
+    ["los-prob", "--states", "1"],                    # calm: no wave period
+    ["los-prob", "--states", "0"],
     ["sweep", "--var", "n", "--values", "inf"],
+    ["sweep", "--var", "pmax", "--values", "inf"],
+    ["sweep", "--var", "pmax", "--values", "-1"],
+    ["sweep", "--var", "sea", "--values", "nan"],
 ])
 def test_usage_and_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -171,9 +177,32 @@ def test_exclusions_covering_the_deploy_disk_exit_1(tmp_path, capsys):
     assert "exclusion zones cover the deploy disk" in capsys.readouterr().err
 
 
-def test_numerical_failure_exits_2(capsys):
-    # sea states 0-1 define no wave period, so no LoS geometry exists
-    assert main(["los-prob", "--states", "0", "--heights", "2",
+@pytest.mark.parametrize("section, line", [
+    ("radio", "beta_hz = inf"),
+    ("radio", "sigma_los_db = nan"),
+    ("energy", "p_0_w = nan"),
+    ("energy", "p_max_dbw = nan"),
+    ("energy", "p_max_dbw = 4000"),      # 1e400 W overflows a float
+    ("energy", "p_max_w = inf"),
+    ("scenario", "interval_duration_s = inf"),
+])
+def test_non_finite_config_values_exit_1(section, line, tmp_path, capsys):
+    head = f"[{section}]\n"
+    text = (TINY_INI.replace(head, head + line + "\n") if head in TINY_INI
+            else TINY_INI + "\n" + head + line + "\n")
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path), "--var", "hr0",
+                 "--values", "5", "--trials", "1", "--seed", "1"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_2(monkeypatch, capsys):
+    # a numerical error inside a stage, not a bad input, is exit code 2
+    def overflow(*args, **kwargs):
+        raise FloatingPointError("overflow in the LoS sampler")
+    monkeypatch.setattr(sea_surface, "los_probability", overflow)
+    assert main(["los-prob", "--states", "3", "--heights", "2",
                  "--samples", "10"]) == 2
     assert "numerical failure" in capsys.readouterr().err
 

@@ -2,11 +2,15 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from marisim.channel import db2pow
+from marisim.channel import db2pow, pow2db
 from marisim.config import (
+    _SCHEMA,
     ConfigError,
     GeometryConfig,
     RadioConfig,
@@ -14,6 +18,9 @@ from marisim.config import (
     apply_sweep_value,
     load_config,
 )
+from marisim.harness import run_coherence_interval
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_are_self_consistent():
@@ -164,9 +171,63 @@ def test_apply_sweep_value_covers_all_variables():
         apply_sweep_value(cfg, "n", 64.5)
     with pytest.raises(ConfigError):
         apply_sweep_value(cfg, "frequency", 1.0)
+    with pytest.raises(ConfigError):
+        apply_sweep_value(cfg, "sea", 1)     # calm: the one sea-state rule
 
 
 def test_configs_are_immutable():
     cfg = ScenarioConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.sea_state = 5
+
+
+def test_readme_scenario_loads(tmp_path):
+    [block] = re.findall(r"```ini\n(.*?)```", README.read_text(), re.DOTALL)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = load_config(path)
+    assert cfg.sea_state == 5 and cfg.energy.P_max == 50.0
+
+
+# small scenario the schema property runs one interval of
+BASE = {("radio", "n_elements"): "8", ("radio", "m_antennas"): "2",
+        ("geometry", "mean_iot_count"): "2",
+        ("optimizer", "sdp_max_iter"): "50",
+        ("optimizer", "randomization_draws"): "5"}
+NUMERIC_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+                for key, (kind, _) in keys.items() if kind is not bool]
+# maps each unit conversion to its inverse, to write a default in key units
+TO_KEY_UNITS = {db2pow: pow2db, pow2db: db2pow}
+
+
+def typical_value(kind, path) -> str:
+    value = ScenarioConfig()
+    for part in path.split("."):
+        value = value[int(part)] if part.isdigit() else getattr(value, part)
+    if value is None:   # b_subframes and t_pilot_len: one per RIS element
+        return BASE[("radio", "n_elements")]
+    convert = TO_KEY_UNITS.get(kind)
+    return repr(convert(value) if convert else value)
+
+
+@pytest.mark.parametrize("section, key", NUMERIC_KEYS,
+                         ids=[f"{s}.{k}" for s, k in NUMERIC_KEYS])
+def test_every_accepted_value_runs_to_a_finite_record(section, key, tmp_path):
+    # any config the loader accepts either finishes an interval with finite
+    # rates and powers or raises ConfigError; never a silent NaN
+    kind, path = _SCHEMA[section][key]
+    for raw in ("nan", "inf", "-inf", "0", "-1", typical_value(kind, path)):
+        sections: dict = {}
+        for (sec, k), v in {**BASE, (section, key): raw}.items():
+            sections.setdefault(sec, []).append(f"{k} = {v}\n")
+        ini = tmp_path / "case.ini"
+        ini.write_text("".join(f"[{sec}]\n" + "".join(lines)
+                               for sec, lines in sections.items()))
+        try:
+            rec = run_coherence_interval(load_config(ini), 0,
+                                         np.random.default_rng(0))
+        except ConfigError:
+            continue
+        fields = (rec.c_ris, rec.c_noris, rec.rate_ris, rec.rate_noris,
+                  rec.tx_power_w)
+        assert all(math.isfinite(f) for f in fields), (key, raw, fields)

@@ -36,7 +36,7 @@ def dense(obj):
 def test_build_d_shape_and_hermitian_psd():
     rng = np.random.default_rng(0)
     snap = random_snapshot(rng, N=6, M=3, I=2)
-    obj = build_D(snap.H_d, snap.G, snap.P_t)
+    obj = build_D(snap)
     assert obj.N == 6 and obj.W.shape == (7, 6)
     assert np.array_equal(obj.p, np.repeat(snap.P_t, 3))
     # the factor carries D = sum_i P_i W_i W_i^H, W_i = [G_i; h_i]
@@ -50,15 +50,8 @@ def test_build_d_shape_and_hermitian_psd():
 
 
 def test_build_d_validation():
-    rng = np.random.default_rng(1)
-    snap = random_snapshot(rng, N=4, M=2, I=2)
-    # ragged matrices, and tensors whose I, N or M disagrees with Hd
-    for G in ((snap.G[0], snap.G[1].T), snap.G[:1], snap.G[..., :1],
-              snap.G.transpose(0, 2, 1), snap.G[0]):
-        with pytest.raises(ValueError):
-            build_D(snap.H_d, G, snap.P_t)
-    with pytest.raises(ValueError):
-        build_D(snap.H_d, snap.G, -snap.P_t)
+    # build_D reads a NetworkSnapshot, whose shape and power checks are
+    # covered by test_snapshot_validation
     with pytest.raises(ValueError):
         HomogenizedObjective(W=np.ones((3, 2)), p=np.ones(3))
 
@@ -84,7 +77,7 @@ def test_relaxation_sandwich_on_small_instances(seed):
     N = int(rng.integers(1, 5))
     snap = random_snapshot(rng, N, M=int(rng.integers(1, 3)),
                            I=int(rng.integers(1, 3)))
-    obj = build_D(snap.H_d, snap.G, snap.P_t)
+    obj = build_D(snap)
     sol = solve_sdp(obj, tol=1e-8, max_iter=5000)
     q_bf, _ = brute_force_phases(snap, levels=16)
     brute = reflection_objective(obj, q_bf)
@@ -122,7 +115,7 @@ def test_certificate_on_criterion_2_sized_and_64_element_instances():
               int(rng.integers(1, 3))) for _ in range(50)] + [(64, 4, 3)]
     for N, M, I in sizes:
         snap = random_snapshot(rng, N, M, I)
-        obj = build_D(snap.H_d, snap.G, snap.P_t)
+        obj = build_D(snap)
         sol = solve_sdp(obj, tol=1e-6, max_iter=5000)
         assert sol.converged
         assert np.diag(sol.V).real == pytest.approx(np.ones(N + 1))
@@ -138,7 +131,7 @@ def test_certificate_decision_matches_dense_eigvalsh():
     decisions = set()
     for N, M, I in sizes:
         snap = random_snapshot(rng, N, M, I)
-        obj = build_D(snap.H_d, snap.G, snap.P_t)
+        obj = build_D(snap)
         for max_iter in (1, 2, 3, 8):
             sol = solve_sdp(obj, tol=1e-6, max_iter=max_iter)
             assert_certificate_holds(obj, sol, 1e-6)
@@ -149,7 +142,7 @@ def test_certificate_decision_matches_dense_eigvalsh():
 def test_iteration_cap_of_one_is_not_certified():
     rng = np.random.default_rng(65)
     snap = random_snapshot(rng, N=16, M=2, I=2)
-    obj = build_D(snap.H_d, snap.G, snap.P_t)
+    obj = build_D(snap)
     sol = solve_sdp(obj, tol=1e-6, max_iter=1)
     assert sol.iterations == 1 and not sol.converged
     assert sol.gap > 1e-6 * abs(sol.objective)
@@ -186,8 +179,8 @@ def test_power_scaling_rescales_objective_only():
     snap = random_snapshot(rng, N=5, M=2, I=2)
     scaled = NetworkSnapshot(H_d=snap.H_d, G=snap.G, P_t=2.0 * snap.P_t,
                              sigma2=snap.sigma2, beta=snap.beta)
-    obj = build_D(snap.H_d, snap.G, snap.P_t)
-    obj2 = build_D(scaled.H_d, scaled.G, scaled.P_t)
+    obj = build_D(snap)
+    obj2 = build_D(scaled)
     assert np.array_equal(obj2.W, obj.W)
     assert np.array_equal(obj2.p, 2.0 * obj.p)
     cfg = OptimizerConfig(sdp_tol=1e-8, sdp_max_iter=5000,

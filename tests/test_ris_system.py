@@ -115,7 +115,7 @@ def test_capacity_matches_quadratic_objective(seed):
     rng = np.random.default_rng(seed)
     snap = random_snapshot(rng)
     q = unit_q(rng, snap.N)
-    obj = build_D(snap.H_d, snap.G, snap.P_t)
+    obj = build_D(snap)
     direct = sum(snap.P_t[i] * np.sum(np.abs(
         snap.direct_rows[i] + q @ snap.G[i]) ** 2) for i in range(snap.I))
     assert reflection_objective(obj, q) == pytest.approx(direct, rel=1e-9)

@@ -36,8 +36,6 @@ def default_wave(level=4):
 def test_table_lookup_and_level_folding():
     assert sea_state(4).height_mean == 1.875
     assert sea_state(4).period_mean == 9.0
-    assert sea_state(0).level == "0-1"
-    assert sea_state(1).level == "0-1"
     assert sea_state(">8").period_mean == 20.0
     assert sea_state(9).level == ">8"
     assert sea_state(30).level == ">8"
@@ -53,16 +51,15 @@ def test_table_rows_are_internally_consistent():
     for row in BUILTIN_SEA_STATES:
         lo, hi = row.height_range
         assert lo <= row.height_mean <= hi
-        if row.period_range is not None:
-            plo, phi = row.period_range
-            assert plo <= row.period_mean <= phi
+        plo, phi = row.period_range
+        assert plo <= row.period_mean <= phi
 
 
 def test_sea_state_row_validation():
     with pytest.raises(ValueError):
-        SeaState(2, (1.0, 0.5), 0.7)
+        SeaState(2, (1.0, 0.5), 0.7, (3.0, 15.0), 7.0)
     with pytest.raises(ValueError):
-        SeaState(2, (0.1, 0.5), 0.7)
+        SeaState(2, (0.1, 0.5), 0.7, (3.0, 15.0), 7.0)
     with pytest.raises(ValueError):
         SeaState(2, (0.1, 0.5), 0.3, (3.0, 15.0), 20.0)
 
@@ -78,8 +75,12 @@ def test_wave_from_sea_state_uses_dispersion_relation():
 
 
 def test_calm_row_defines_no_wave():
-    with pytest.raises(ValueError):
-        wave_from_sea_state(sea_state(0))
+    # levels 0-1 have no wave period, so the table has no row for them
+    for level in (0, 1):
+        with pytest.raises(KeyError):
+            sea_state(level)
+    with pytest.raises(TypeError):
+        SeaState("0-1", (0.0, 0.1), 0.05)
 
 
 @given(st.floats(0.0, 500.0), st.floats(1.0, 30.0))
@@ -168,9 +169,6 @@ def test_los_probability_bounds_and_determinism():
     assert p1 == p2
     flat = SeaState("flat", (0.0, 0.1), 0.0, (3.0, 15.0), 7.0)
     assert los_probability(flat, tx, rx, samples=10, seed=5) == 1.0
-    # the calm table row defines no period, so it cannot be sampled
-    with pytest.raises(ValueError):
-        los_probability(sea_state(0), tx, rx, samples=10, seed=5)
     with pytest.raises(ValueError):
         los_probability(state, tx, rx, samples=0, seed=5)
 
