@@ -168,34 +168,36 @@ def _aperture_phases(element_positions: np.ndarray, center: np.ndarray,
     return -2.0 * np.pi * path / lam
 
 
-def ris_incident_vector(iots: FloatingNode, ris, wave: WaveField, t: float,
-                        p: PathLossParams, xi) -> np.ndarray:
-    """IoT -> RIS segment channels, (I, N) for a batch node of I IoTs; the
-    segment is always LoS and `xi` is draw_link_fading's incident
-    shadowing."""
-    center = ris.center
+def ris_incident_vector(iots: FloatingNode, elements: np.ndarray,
+                        wave: WaveField, t: float, p: PathLossParams,
+                        xi) -> np.ndarray:
+    """IoT -> RIS segment channels, (I, N) for a batch node of I IoTs and the
+    (N, 3) RIS element positions; the segment is always LoS and `xi` is
+    draw_link_fading's incident shadowing."""
+    center = elements.mean(axis=0)
     pos = np.asarray(iots.position, dtype=float)
     h_iot = sea_surface.antenna_height(iots, wave, t)
     d = np.hypot(pos[..., 0] - center[0], pos[..., 1] - center[1])
     L = path_loss_los(d, np.maximum(h_iot, MIN_LOSS_HEIGHT), center[2], p, xi)
     amp = 10.0 ** ((p.G_t - L) / 20.0)
     target = np.concatenate([pos, np.expand_dims(h_iot, -1)], axis=-1)
-    return amp[..., None] * np.exp(1j * _aperture_phases(ris.element_positions,
-                                                         center, target, p.lam))
+    return amp[..., None] * np.exp(1j * _aperture_phases(elements, center,
+                                                         target, p.lam))
 
 
-def ris_departure_matrix(ris, rx: FloatingNode, wave: WaveField, t: float,
-                         M: int, p: PathLossParams, rng) -> np.ndarray:
-    """RIS -> receiver segment matrix (N x M); always LoS, with one
-    shadowing draw."""
-    center = ris.center
+def ris_departure_matrix(elements: np.ndarray, rx: FloatingNode,
+                         wave: WaveField, t: float, M: int, p: PathLossParams,
+                         rng) -> np.ndarray:
+    """RIS -> receiver segment matrix (N x M) from the (N, 3) RIS element
+    positions; always LoS, with one shadowing draw."""
+    center = elements.mean(axis=0)
     h_rx = sea_surface.antenna_height(rx, wave, t)
     d = math.dist((center[0], center[1]), rx.position)
     xi = rng.normal(0.0, p.sigma_los) if p.sigma_los > 0 else 0.0
     L = path_loss_los(d, center[2], max(h_rx, MIN_LOSS_HEIGHT), p, xi)
     amp = 10.0 ** ((-L + p.G_r) / 20.0)
     target = np.array([rx.position[0], rx.position[1], h_rx])
-    element = _aperture_phases(ris.element_positions, center, target, p.lam)
+    element = _aperture_phases(elements, center, target, p.lam)
     az = math.atan2(center[1] - rx.position[1], center[0] - rx.position[0])
     steer = ula_steering_phases(M, az)
     return amp * np.exp(1j * (element[:, None] + steer[None, :]))

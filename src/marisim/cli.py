@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import channel, energy, estimation, harness, optimizer, ris_system
-from .config import (ConfigError, SWEEP_VARIABLES, ScenarioConfig, load_config,
-                     sea_level)
+from .config import (ConfigError, SWEEP_VARIABLES, ScenarioConfig, _parse,
+                     load_config, sea_level)
 from .sea_surface import sea_state
 
 
@@ -66,30 +66,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_values(text: str) -> list:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(float(part))
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep value {part!r}") from exc
-    if not out:
-        raise ConfigError("no sweep values given")
-    return out
+def _parse_values(text: str, kind=float, what: str = "sweep value") -> list:
+    """Comma-separated numbers, each through the config parse step, which
+    rejects non-finite values."""
+    values = [_parse(kind, part, what) for part in text.split(",")
+              if part.strip()]
+    if not values:
+        raise ConfigError(f"no {what} given")
+    return values
 
 
-def _write_output(text: str, out) -> None:
+def _write_output(blocks, out) -> None:
     if out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
+        sys.stdout.writelines(blocks)
+    else:
+        harness.write_blocks(blocks, out)
 
 
 def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
@@ -104,10 +95,10 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_los_prob(cfg: ScenarioConfig, args) -> int:
-    states = [sea_level(v) for v in _parse_values(args.states)]
-    heights = _parse_values(args.heights)
-    if args.samples < 1:
-        raise ConfigError("samples must be >= 1")
+    states = _parse_values(args.states, sea_level, "sea state")
+    heights = _parse_values(args.heights, float, "receiver mast height")
+    if args.samples < 1 or min(heights) <= 0:
+        raise ConfigError("need samples >= 1 and positive mast heights")
     table = harness.los_probability_table(cfg, states, heights,
                                           samples=args.samples, seed=args.seed)
     _write_output(harness.format_table(table, args.format), args.out)
@@ -115,8 +106,8 @@ def _cmd_los_prob(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_pathloss(cfg: ScenarioConfig, args) -> int:
-    if args.points < 2 or args.d_max <= args.d_min or args.d_min <= 0:
-        raise ConfigError("need d_min > 0, d_max > d_min, points >= 2")
+    if args.points < 2 or not 0 < args.d_min < args.d_max < math.inf:
+        raise ConfigError("need finite 0 < d_min < d_max, points >= 2")
     d_values = np.linspace(args.d_min, args.d_max, args.points)
     table = harness.pathloss_table(cfg, d_values)
     _write_output(harness.format_table(table, args.format), args.out)
@@ -213,7 +204,7 @@ def _check_sweep_determinism():
     for jobs in (1, 1, 2):
         rows = harness.run_sweep(cfg, "hr0", [5.0], trials=2, seed=7,
                                  n_jobs=jobs)
-        texts.append(harness.format_results(rows, "csv"))
+        texts.append("".join(harness.format_results(rows, "csv")))
     assert texts[0] == texts[1], "repeat run differs"
     assert texts[0] == texts[2], "parallel run differs"
 

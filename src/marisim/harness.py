@@ -4,8 +4,10 @@ drivers, the LoS-probability and path-loss tables, and deterministic CSV/JSON
 emission.
 
 Every table is a mapping from column name to an equal-length column, and
-one emitter, format_table, renders it, formatting each column once.  Sweep
-rows are transposed into that form only where they are written.
+one emitter, format_table, renders it as CSV or JSON in blocks of rows,
+formatting each block's slice of every column once; write_blocks writes the
+blocks as they arrive.  Sweep rows are transposed into that form only where
+they are written.
 
 Determinism contract: every trial owns an RNG stream seeded by the integer
 triple (seed, cell index, trial index), trials are collected in index order
@@ -15,7 +17,6 @@ so identical (config, seed) inputs give byte-identical output files.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -199,8 +200,7 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
         c_ris=c_ris, c_noris=c_noris,
         rate_ris=overhead * c_ris, rate_noris=overhead * c_noris,
         los_frac=float(np.mean(flags)), tx_power_w=P_tx, overhead=overhead,
-        solver_iterations=0 if sol is None else sol.iterations,
-        solver_converged=True if sol is None else sol.converged,
+        solver_iterations=sol.iterations, solver_converged=sol.converged,
         rank_failure=False)
 
 
@@ -289,72 +289,80 @@ def _format_cell(v) -> str:
     return repr(float(v))
 
 
-def format_table(table, fmt: str = "csv") -> str:
-    """Render a table as CSV or JSON text; floats keep full round-trip
-    precision.
+# Rows per emitted text block: bounds the memory the emitter holds whatever
+# the table's length.
+ROWS_PER_BLOCK = 2048
+
+# json.dumps's words for the non-finite floats repr writes as nan and inf
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cells(col, structured: bool) -> list:
+    """Cell text of one column slice, float arrays through repr of their
+    Python floats; structured quotes str cells and spells non-finite floats
+    as json.dumps does."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        cells = list(map(repr, col.tolist()))
+    else:
+        cells = [json.dumps(v) if structured and isinstance(v, str)
+                 else _format_cell(v) for v in col]
+    return [_JSON_WORDS.get(c, c) for c in cells] if structured else cells
+
+
+def format_table(table, fmt: str = "csv"):
+    """Render a table as CSV or JSON text, yielded in blocks of
+    ROWS_PER_BLOCK rows; floats keep full round-trip precision.
 
     A table maps each column name to an equal-length 1-D sequence, in
-    column order.  Each column is formatted once, float arrays through
-    repr of their Python floats.  No cell marisim emits holds a comma, a
-    quote or a newline, so joining the cells gives csv.writer's bytes.
+    column order.  Each block formats its slice of every column once, and
+    both formats are built from the same cells.  No cell marisim emits
+    holds a comma, a quote or a newline, so joining the cells gives
+    csv.writer's bytes; the JSON is json.dumps(rows, indent=2)'s.  The
+    format is checked here, before any block is produced.
     """
     if fmt not in ("csv", "structured"):
         raise ConfigError(f"unknown output format {fmt!r}")
+    return _blocks(table, fmt == "structured")
+
+
+def _blocks(table, structured: bool):
     columns = list(table.values())
-    if fmt == "structured":
-        values = [col.tolist() if isinstance(col, np.ndarray) else col
-                  for col in columns]
-        ordered = [dict(zip(table, row)) for row in zip(*values)]
-        return json.dumps(ordered, indent=2) + "\n"
-    cells = [map(repr, col.tolist())
-             if isinstance(col, np.ndarray) and col.dtype.kind == "f"
-             else map(_format_cell, col) for col in columns]
-    lines = [",".join(table)]
-    lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    n_rows = min(map(len, columns), default=0)
+    if structured:
+        fields = ",\n".join("    %s: %%s" % json.dumps(name).replace("%", "%%")
+                            for name in table)
+        join_row = ("  {\n" + fields + "\n  }").__mod__
+        lead, sep, end = "[\n", ",\n", "\n]\n" if n_rows else "[]\n"
+    else:
+        join_row = ",".join
+        lead, sep = ",".join(table) + "\n", "\n"
+        end = "\n" if n_rows else lead
+    for start in range(0, n_rows, ROWS_PER_BLOCK):
+        cells = [_cells(col[start:start + ROWS_PER_BLOCK], structured)
+                 for col in columns]
+        yield lead + sep.join(map(join_row, zip(*cells)))
+        lead = sep
+    yield end
 
 
-def format_results(rows, fmt: str = "csv") -> str:
+def format_results(rows, fmt: str = "csv"):
     """Render sweep result rows, transposed to the RESULT_COLUMNS table."""
     return format_table({c: [row[c] for row in rows] for c in RESULT_COLUMNS},
                         fmt)
 
 
-def emit_results(rows, path, fmt: str = "csv") -> None:
-    """Write a sweep result table; I/O errors carry the path."""
-    text = format_results(rows, fmt)
+def write_blocks(blocks, path) -> None:
+    """Write text blocks to path as they arrive; I/O errors carry the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-_INT_COLUMNS = {"sea_state", "trials", "seed"}
-
-
-def _parse_cell(column: str, text: str):
-    if column == "sweep_var":
-        return text
-    if column in _INT_COLUMNS:
-        return int(text)
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def read_results(path) -> list:
-    """Parse a file produced by emit_results back into row dicts."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        if head == "[":
-            return json.load(fh)
-        reader = csv.reader(fh)
-        header = next(reader)
-        return [{c: _parse_cell(c, v) for c, v in zip(header, row)}
-                for row in reader]
+def emit_results(rows, path, fmt: str = "csv") -> None:
+    """Write a sweep result table."""
+    write_blocks(format_results(rows, fmt), path)
 
 
 def los_probability_table(cfg: ScenarioConfig, states, heights,

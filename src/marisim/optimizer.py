@@ -233,15 +233,10 @@ def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng):
     never loses to them.
 
     Returns (q, capacity, sol): the relaxed SdpSolution is kept for
-    diagnostics, and is None when there is no RIS (N = 0).
+    diagnostics.
     """
     obj = build_D(snap)
-    N = obj.N
-    ones = np.ones(N, dtype=complex)
-    if N == 0:
-        value = reflection_objective(obj, ones)
-        capacity = snap.beta * float(np.log2(1.0 + value / snap.sigma2))
-        return ones, capacity, None
+    ones = np.ones(obj.N, dtype=complex)
     sol = solve_sdp(obj, cfg.sdp_tol, cfg.sdp_max_iter)
     q_rand = randomize(sol, cfg.randomization_draws, obj, rng)
     # The +/- pair of any candidate averages to at least the direct-only

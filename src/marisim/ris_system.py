@@ -18,30 +18,10 @@ import numpy as np
 UNIT_MODULUS_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class RisConfig:
-    """RIS element layout (N 3-D positions, meters)."""
-
-    element_positions: np.ndarray  # (N, 3)
-
-    def __post_init__(self):
-        pos = np.asarray(self.element_positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-            raise ValueError("element_positions must be (N, 3) with N >= 1")
-        object.__setattr__(self, "element_positions", pos)
-
-    @property
-    def N(self) -> int:
-        return self.element_positions.shape[0]
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.element_positions.mean(axis=0)
-
-
-def make_planar_ris(N: int, center, wavelength: float) -> RisConfig:
-    """Half-wavelength planar grid centered at a 3-D point, lying in the y-z
-    plane (broadside along x). Uses the most square factorization of N."""
+def make_planar_ris(N: int, center, wavelength: float) -> np.ndarray:
+    """(N, 3) element positions, meters, of a half-wavelength planar grid
+    centered at a 3-D point, lying in the y-z plane (broadside along x).
+    Uses the most square factorization of N."""
     if N < 1:
         raise ValueError("N must be >= 1")
     rows = int(math.isqrt(N))
@@ -52,12 +32,11 @@ def make_planar_ris(N: int, center, wavelength: float) -> RisConfig:
     iy = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     iz = (np.arange(rows) - (rows - 1) / 2.0) * spacing
     yy, zz = np.meshgrid(iy, iz)
-    pos = np.column_stack([
+    return np.column_stack([
         np.full(N, float(center[0])),
         float(center[1]) + yy.ravel(),
         float(center[2]) + zz.ravel(),
     ])
-    return RisConfig(element_positions=pos)
 
 
 @dataclass(frozen=True, eq=False)

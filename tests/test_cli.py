@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import csv
 import hashlib
 import json
 import shutil
@@ -9,7 +10,7 @@ import pytest
 
 from marisim import sea_surface
 from marisim.cli import main
-from marisim.harness import RESULT_COLUMNS, read_results
+from marisim.harness import RESULT_COLUMNS
 
 TINY_INI = """\
 [scenario]
@@ -31,6 +32,11 @@ sdp_tol = 1e-4
 sdp_max_iter = 150
 randomization_draws = 15
 """
+
+
+def read_csv(path) -> list:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -55,10 +61,10 @@ def test_sweep_writes_result_csv(tiny_ini, tmp_path):
     assert code == 0
     text = out.read_text()
     assert text.splitlines()[0] == ",".join(RESULT_COLUMNS)
-    [row] = read_results(out)
-    assert row["sweep_var"] == "hr0" and row["value"] == 5
-    assert row["trials"] == 2 and row["seed"] == 3
-    assert row["mean_rate_ris"] > 0
+    [row] = read_csv(out)
+    assert row["sweep_var"] == "hr0" and float(row["value"]) == 5
+    assert row["trials"] == "2" and row["seed"] == "3"
+    assert float(row["mean_rate_ris"]) > 0
 
 
 def test_sweep_defaults_to_stdout(tiny_ini, capsys):
@@ -84,19 +90,19 @@ def test_sweep_output_identical_across_jobs_and_formats(tiny_ini, tmp_path):
                  "--values", "5,7", "--trials", "2", "--seed", "4",
                  "--format", "structured", "--out", str(spath)]) == 0
     structured = json.loads(spath.read_text())
-    csv_rows = read_results(tmp_path / "jobs1.csv")
+    csv_rows = read_csv(tmp_path / "jobs1.csv")
     assert [r["mean_rate_ris"] for r in structured] == [
-        r["mean_rate_ris"] for r in csv_rows]
+        float(r["mean_rate_ris"]) for r in csv_rows]
 
 
 def test_los_prob_table(tmp_path, capsys):
     out = tmp_path / "los.csv"
     assert main(["los-prob", "--states", "3,7", "--heights", "2,30",
                  "--samples", "300", "--seed", "1", "--out", str(out)]) == 0
-    rows = read_results(out)
-    assert [(r["sea_state"], r["h_r0_m"]) for r in rows] == [
+    rows = read_csv(out)
+    assert [(int(r["sea_state"]), float(r["h_r0_m"])) for r in rows] == [
         (3, 2), (3, 30), (7, 2), (7, 30)]
-    assert all(0.0 <= r["los_prob"] <= 1.0 for r in rows)
+    assert all(0.0 <= float(r["los_prob"]) <= 1.0 for r in rows)
 
 
 def test_pathloss_table_stdout(capsys):
@@ -152,6 +158,9 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["sweep", "--var", "pmax", "--values", "inf"],
     ["sweep", "--var", "pmax", "--values", "-1"],
     ["sweep", "--var", "sea", "--values", "nan"],
+    ["los-prob", "--heights", "0"],                   # mast must be positive
+    ["los-prob", "--heights", "inf"],
+    ["pathloss", "--d-max", "inf"],
 ])
 def test_usage_and_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1

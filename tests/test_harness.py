@@ -6,11 +6,13 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from marisim import harness
 from marisim.config import (
     ConfigError,
     EstimationConfig,
@@ -29,7 +31,6 @@ from marisim.harness import (
     format_table,
     los_probability_table,
     pathloss_table,
-    read_results,
     run_cell,
     run_coherence_interval,
     run_sweep,
@@ -181,18 +182,25 @@ def test_failed_cell_flushes_partial_results(tmp_path):
     with pytest.raises(ConfigError):
         # second cell asks for more elements than scheduled sub-frames
         run_sweep(cfg, "n", [4, 16], trials=1, seed=1, flush_path=out)
-    rows = read_results(out)
-    assert len(rows) == 1 and rows[0]["value"] == 4
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and int(rows[0]["value"]) == 4
 
 
 def test_emit_and_read_roundtrip_bit_exact(tmp_path):
     cfg = small_cfg()
     rows = run_sweep(cfg, "hr0", [5.0], trials=2, seed=6)
-    for fmt, name in (("csv", "out.csv"), ("structured", "out.json")):
-        path = tmp_path / name
-        emit_results(rows, path, fmt)
-        back = read_results(path)
-        assert back == rows   # repr round-trip keeps floats exact
+    path = tmp_path / "out.json"
+    emit_results(rows, path, "structured")
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == rows   # repr round-trip keeps floats exact
+    path = tmp_path / "out.csv"
+    emit_results(rows, path, "csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        back = list(csv.DictReader(fh))
+    assert [{c: type(v)(cells[c]) for c, v in row.items()}
+            for row, cells in zip(rows, back)] == rows
+    assert len(back) == len(rows)
 
 
 def test_emit_empty_table_writes_header_only(tmp_path):
@@ -203,10 +211,10 @@ def test_emit_empty_table_writes_header_only(tmp_path):
 
 def test_format_table_structured_and_unknown_format():
     table = {"a": [1], "b": np.array([0.5])}
-    text = format_table(table, "structured")
+    text = "".join(format_table(table, "structured"))
     assert json.loads(text) == [{"a": 1, "b": 0.5}]
     with pytest.raises(ConfigError):
-        format_table(table, "xml")
+        format_table(table, "xml")   # on the call, before any block
 
 
 def reference_csv(table) -> str:
@@ -225,7 +233,7 @@ def test_format_table_matches_csv_writer_reference():
              "x": np.array([math.nan, math.inf, -0.0, 1e-300]),
              "y": [1e-300, -math.inf, 5.0, 0.1],
              "level": np.array([3, 4, 5, 8])}
-    text = format_table(table, "csv")
+    text = "".join(format_table(table, "csv"))
     assert text == reference_csv(table)
     assert text.splitlines()[2] == "n,-2,inf,-inf,4"
     assert text.splitlines()[3] == "sea,0,-0.0,5.0,5"
@@ -233,8 +241,36 @@ def test_format_table_matches_csv_writer_reference():
     table["count"] = [1, -2, 0, 3]
     rows = [{c: (v.tolist() if isinstance(v, np.ndarray) else v)[i]
              for c, v in table.items()} for i in range(4)]
-    assert format_table(table, "structured") == json.dumps(rows, indent=2) + "\n"
-    assert format_table({"a": [], "b": np.array([])}) == "a,b\n"
+    assert "".join(format_table(table, "structured")) == json.dumps(
+        rows, indent=2) + "\n"
+    assert "".join(format_table({"a": [], "b": np.array([])})) == "a,b\n"
+
+
+def test_format_table_blocks_join_to_the_whole_text(monkeypatch):
+    # block seams fall inside, at and past a block's last row
+    monkeypatch.setattr(harness, "ROWS_PER_BLOCK", 3)
+    for n in (0, 1, 3, 4, 7):
+        table = {"s": ["a%s"] * n, "k%": list(range(n)),
+                 "x": np.resize([math.nan, math.inf, -math.inf, 0.1, -0.0], n)}
+        rows = [{"s": "a%s", "k%": k, "x": x}
+                for k, x in zip(table["k%"], table["x"].tolist())]
+        blocks = list(format_table(table, "structured"))
+        assert len(blocks) == -(-n // 3) + 1
+        assert "".join(blocks) == json.dumps(rows, indent=2) + "\n"
+        assert "".join(format_table(table, "csv")) == reference_csv(table)
+
+
+def test_format_table_memory_stays_at_one_block():
+    # the table exists before tracing starts, so the peak is the emitter's
+    table = pathloss_table(small_cfg(), np.linspace(50.0, 2000.0, 200_000))
+    for fmt in ("csv", "structured"):
+        tracemalloc.start()
+        try:
+            length = sum(map(len, format_table(table, fmt)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < length / 4, (fmt, peak, length)
 
 
 def test_los_probability_table_shape_and_range():

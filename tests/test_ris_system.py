@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from marisim.optimizer import build_D, reflection_objective
 from marisim.ris_system import (
     NetworkSnapshot,
-    RisConfig,
     aligned_capacity_bound,
     combined_channel,
     direct_capacity,
@@ -33,25 +32,22 @@ def unit_q(rng, N):
 
 
 def test_planar_ris_grid_geometry():
-    ris = make_planar_ris(12, (1.0, -2.0, 35.0), LAM)
-    pos = ris.element_positions
-    assert ris.N == 12
+    pos = make_planar_ris(12, (1.0, -2.0, 35.0), LAM)
+    assert pos.shape == (12, 3)
     assert np.all(pos[:, 0] == 1.0)                      # broadside along x
-    assert ris.center == pytest.approx([1.0, -2.0, 35.0])
+    assert pos.mean(axis=0) == pytest.approx([1.0, -2.0, 35.0])
     ys = np.unique(np.round(pos[:, 1], 12))
     zs = np.unique(np.round(pos[:, 2], 12))
     assert len(ys) * len(zs) == 12
     assert {len(ys), len(zs)} == {3, 4}                  # most square split
     assert np.diff(ys) == pytest.approx(np.full(len(ys) - 1, LAM / 2.0))
     prime = make_planar_ris(7, (0.0, 0.0, 30.0), LAM)    # falls back to 1 x N
-    assert len(np.unique(prime.element_positions[:, 2])) == 1
+    assert len(np.unique(prime[:, 2])) == 1
 
 
 def test_ris_config_validation():
     with pytest.raises(ValueError):
         make_planar_ris(0, (0, 0, 35.0), LAM)
-    with pytest.raises(ValueError):
-        RisConfig(element_positions=np.zeros((4, 2)))
 
 
 def test_snapshot_dimensions_and_direct_row():
