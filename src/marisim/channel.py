@@ -26,6 +26,10 @@ DEFAULT_NOISE_DBW = -131.0
 # floored here (~240 dB loss) instead of raising.
 LOG_ARG_FLOOR = 1e-12
 
+# No physical antenna comes near 100 dB of gain, and within it the channel
+# amplitudes and powers stay finite.
+MAX_ANTENNA_GAIN_DB = 100.0
+
 # Antennas riding a trough can dip to or below the mean sea level, where the
 # two-ray geometry degenerates; loss evaluation floors heights at this value.
 MIN_LOSS_HEIGHT = 0.05
@@ -56,6 +60,9 @@ class PathLossParams:
             raise ValueError("f_c, h_e, d_0 must be positive")
         if self.sigma_los < 0 or self.sigma_nlos < 0:
             raise ValueError("shadowing std must be non-negative")
+        if max(abs(self.G_t), abs(self.G_r)) > MAX_ANTENNA_GAIN_DB:
+            raise ValueError("antenna gains must be within "
+                             f"+/-{MAX_ANTENNA_GAIN_DB:g} dB")
 
     @property
     def lam(self) -> float:

@@ -9,12 +9,15 @@ The pilot book and the reflection schedule can only be built as Fourier
 matrices, so S^H S = diag(P_i T) and Qtilde Qtilde^H = B I hold by
 construction and both LS stages are matched filters: no Gram or normal
 matrix is formed or solved.
+
+The schedule depends on N and B only, so it is built once per (N, B) and
+shared by every interval that asks for it; its arrays are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -83,21 +86,28 @@ class ReflectionSchedule:
     def Qtilde(self) -> np.ndarray:
         # exp(-2 pi i n b / B) depends on n b mod B only: index the B roots
         roots = np.exp(-2j * np.pi * np.arange(self.B) / self.B)
-        return roots[np.outer(np.arange(self.N), np.arange(self.B)) % self.B]
+        Qt = roots[np.outer(np.arange(self.N), np.arange(self.B)) % self.B]
+        Qt.flags.writeable = False
+        return Qt
 
     def scheduled_reflection(self, b: int) -> np.ndarray:
         """The 1 x N reflection row used in sub-frame b."""
         return self.Qtilde[:, b].conj()
 
-    @property
+    @cached_property
     def reflections(self) -> np.ndarray:
         """All (B + 2, N) reflection rows in sounding order: q0, q1, then
         the B scheduled reflections."""
-        return np.vstack([self.q0, self.q1, self.Qtilde.T.conj()])
+        rows = np.vstack([self.q0, self.q1, self.Qtilde.T.conj()])
+        rows.flags.writeable = False
+        return rows
 
 
+@lru_cache(maxsize=1)
 def make_reflection_schedule(N: int, B: int) -> ReflectionSchedule:
-    """Fourier schedule of B sub-frames for an N-element RIS."""
+    """Fourier schedule of B sub-frames for an N-element RIS.  The last
+    (N, B) is kept, so the intervals of a cell share one schedule and at
+    most one N x B schedule stays resident."""
     return ReflectionSchedule(N, B)
 
 

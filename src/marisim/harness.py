@@ -183,7 +183,7 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     Y = estimation.simulate_pilot_rx(snap, sched.reflections, pilots, noise_rng)
     Hd_hat = estimation.estimate_direct(Y[0], Y[1], pilots)
     G_hat = estimation.estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
-    del sched, Y   # free the N x B schedule matrix before the solver runs
+    del Y   # free the (B + 2, T, M) pilot blocks; the schedule is cached
 
     snap_est = ris_system.NetworkSnapshot(H_d=Hd_hat, G=G_hat, P_t=powers,
                                           sigma2=sigma2,

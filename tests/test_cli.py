@@ -95,6 +95,22 @@ def test_sweep_output_identical_across_jobs_and_formats(tiny_ini, tmp_path):
         float(r["mean_rate_ris"]) for r in csv_rows]
 
 
+def test_n_sweep_that_revisits_a_size_is_identical_across_jobs(tiny_ini,
+                                                                tmp_path):
+    # 8, 16, 8 makes the cached reflection schedule change size twice, in
+    # this process and in the workers
+    texts = {}
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.csv"
+        assert main(["sweep", "--config", tiny_ini, "--var", "n",
+                     "--values", "8,16,8", "--trials", "2", "--seed", "5",
+                     "--jobs", jobs, "--out", str(path)]) == 0
+        texts[jobs] = path.read_bytes()
+    assert texts["1"] == texts["2"]
+    rows = read_csv(tmp_path / "jobs1.csv")
+    assert [float(r["value"]) for r in rows] == [8, 16, 8]
+
+
 def test_los_prob_table(tmp_path, capsys):
     out = tmp_path / "los.csv"
     assert main(["los-prob", "--states", "3,7", "--heights", "2,30",
@@ -193,6 +209,8 @@ def test_exclusions_covering_the_deploy_disk_exit_1(tmp_path, capsys):
     ("energy", "p_max_dbw = nan"),
     ("energy", "p_max_dbw = 4000"),      # 1e400 W overflows a float
     ("energy", "p_max_w = inf"),
+    ("radio", "g_t_db = 4000"),          # channel powers overflow a float
+    ("radio", "g_r_db = 4000"),
     ("scenario", "interval_duration_s = inf"),
 ])
 def test_non_finite_config_values_exit_1(section, line, tmp_path, capsys):

@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from marisim import estimation
+from marisim.config import (
+    EstimationConfig,
+    GeometryConfig,
+    RadioConfig,
+    ScenarioConfig,
+)
 from marisim.estimation import (
     PilotBook,
     estimate_cascaded,
@@ -13,6 +20,8 @@ from marisim.estimation import (
     pilot_overhead_symbols,
     simulate_pilot_rx,
 )
+from marisim.harness import run_cell
+from marisim.optimizer import OptimizerConfig
 from marisim.ris_system import NetworkSnapshot
 
 
@@ -53,6 +62,14 @@ def test_pilot_book_requires_enough_symbols():
         make_orthogonal_pilots(2, 2, np.array([1.0, 0.0]))
 
 
+def assert_closed_form(sched):
+    N, B = sched.N, sched.B
+    n, b = np.arange(N)[:, None], np.arange(B)[None, :]
+    Qt = sched.Qtilde
+    assert np.max(np.abs(Qt - np.exp(-2j * np.pi * n * b / B))) < 1e-12
+    assert np.max(np.abs(Qt @ Qt.conj().T - B * np.eye(N))) < 1e-12
+
+
 def test_reflection_schedule_structure():
     sched = make_reflection_schedule(6, 9)
     assert (sched.N, sched.B) == (6, 9)
@@ -68,12 +85,64 @@ def test_reflection_schedule_structure():
     assert Qt @ Qt.conj().T == pytest.approx(9.0 * np.eye(6), abs=1e-12)
     # the table of B roots of unity gives the closed-form DFT schedule
     for N, B in ((6, 9), (360, 360)):
-        Qt = make_reflection_schedule(N, B).Qtilde
-        n, b = np.arange(N)[:, None], np.arange(B)[None, :]
-        assert np.max(np.abs(Qt - np.exp(-2j * np.pi * n * b / B))) < 1e-12
-        assert np.max(np.abs(Qt @ Qt.conj().T - B * np.eye(N))) < 1e-12
+        assert_closed_form(make_reflection_schedule(N, B))
     with pytest.raises(ValueError):
         make_reflection_schedule(6, 5)   # fewer sub-frames than elements
+
+
+def test_schedule_is_built_once_per_n_and_b():
+    sched = make_reflection_schedule(6, 9)
+    assert make_reflection_schedule(6, 9) is sched
+    assert sched.Qtilde is sched.Qtilde
+    assert sched.reflections is sched.reflections
+
+
+def test_schedule_arrays_are_read_only():
+    sched = make_reflection_schedule(4, 5)
+    with pytest.raises(ValueError):
+        sched.Qtilde[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        sched.reflections[2] *= 2.0
+    # and the cached copy is untouched
+    assert_closed_form(make_reflection_schedule(4, 5))
+
+
+def test_schedule_rebuilt_after_another_n_and_b_is_the_closed_form():
+    make_reflection_schedule.cache_clear()
+    first = make_reflection_schedule(6, 9)
+    rows = first.reflections
+    other = make_reflection_schedule(5, 7)
+    assert_closed_form(other)
+    again = make_reflection_schedule(6, 9)
+    # only the last (N, B) is kept, so the first one was rebuilt
+    assert again is not first
+    assert make_reflection_schedule.cache_info().misses == 3
+    assert_closed_form(again)
+    assert np.array_equal(again.reflections, rows)
+
+
+def test_intervals_of_a_cell_share_one_schedule(monkeypatch):
+    sounded = []
+    sound = estimation.simulate_pilot_rx
+
+    def spy(snap, q, pilots, rng=None):
+        sounded.append(q)
+        return sound(snap, q, pilots, rng)
+
+    monkeypatch.setattr(estimation, "simulate_pilot_rx", spy)
+    make_reflection_schedule.cache_clear()
+    cfg = ScenarioConfig(
+        sea_state=5, geometry=GeometryConfig(mean_iot_count=4.0),
+        radio=RadioConfig(m_antennas=2, n_elements=8),
+        estimation=EstimationConfig(noiseless=True),
+        optimizer=OptimizerConfig(sdp_tol=1e-4, sdp_max_iter=50,
+                                  randomization_draws=5))
+    run_cell(cfg, trials=2, seed=3)
+    assert len(sounded) == 2   # both intervals deployed IoTs and sounded
+    info = make_reflection_schedule.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert sounded[0] is sounded[1]
+    assert_closed_form(make_reflection_schedule(8, 8))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
