@@ -40,7 +40,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--out", default=None, help="output path (default stdout)")
     sweep.add_argument("--format", choices=["csv", "structured"], default="csv")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (results identical for any value)")
+                       help="worker processes, at most one per CPU and per "
+                            "trial (results identical for any value)")
 
     los = sub.add_parser("los-prob", help="LoS probability vs receiver height")
     los.add_argument("--config", help="scenario INI file")
@@ -128,7 +129,7 @@ def _check_estimation_exact():
     snap = _random_instance(rng, N=6, M=2, I=2)
     pilots = estimation.make_orthogonal_pilots(2, 2, snap.P_t)
     sched = estimation.make_reflection_schedule(6, 6)
-    Y = estimation.simulate_pilot_rx(snap, sched.reflections, pilots, None)
+    Y = estimation.simulate_pilot_rx(snap, sched, pilots, None)
     Hd_hat = estimation.estimate_direct(Y[0], Y[1], pilots)
     G_hat = estimation.estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
     err_h = np.linalg.norm(Hd_hat - snap.H_d) / np.linalg.norm(snap.H_d)

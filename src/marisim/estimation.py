@@ -2,22 +2,27 @@
 
 Stage one cancels the RIS path with a +/- reflection pair and estimates the
 direct channels; stage two sweeps B >= N scheduled reflections and estimates
-the cascaded channels.  All B + 2 reflections are sounded as one (B + 2, N)
-stack, giving (B + 2, T, M) received blocks.
+the cascaded channels.  All B + 2 reflections are sounded in one call,
+giving (B + 2, T, M) received blocks.
 
 The pilot book and the reflection schedule can only be built as Fourier
-matrices, so S^H S = diag(P_i T) and Qtilde Qtilde^H = B I hold by
-construction and both LS stages are matched filters: no Gram or normal
+matrices, so S^H S = diag(P_i T) and the schedule's normal matrix is B I by
+construction, and both LS stages are matched filters: no Gram or normal
 matrix is formed or solved.
 
-The schedule depends on N and B only, so it is built once per (N, B) and
-shared by every interval that asks for it; its arrays are read-only.
+The schedule is the DFT plan of Zheng & Zhang, "Intelligent reflecting
+surface-enhanced OFDM: channel estimation and reflection optimization",
+IEEE WCL 9(4), 2020: sub-frame b reflects with q_b[n] = exp(2 pi j n b / B).
+So the B scheduled combined channels h_d + q_b G are h_d + B ifft(G) over
+the element axis, zero-padded to B points, and the stage-two matched filter
+G = sum_b q_b^H u_b / B is the first N points of fft(u) over the sub-frames,
+divided by B.  Neither the N x B schedule nor any reflection row is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -61,16 +66,19 @@ def make_orthogonal_pilots(I: int, T: int, powers) -> PilotBook:
 @dataclass(frozen=True)
 class ReflectionSchedule:
     """Fourier reflection plan over N elements and B >= N sub-frames: the
-    +/- pair (q0, q1) = (1, -1) plus B scheduled reflections stored
-    column-wise in Qtilde (N x B, column b = q_b^H).
+    +/- pair (q0, q1) = (1, -1) plus B scheduled reflections, reflection b
+    being q_b[n] = exp(2 pi j n b / B).
 
-    Rows of the B-point Fourier matrix are orthogonal for N <= B, so
-    Qtilde Qtilde^H = B I."""
+    Rows of the B-point Fourier matrix are orthogonal for N <= B, so the
+    schedule's normal matrix is B I.  No reflection is stored: sounding and
+    LS apply the schedule as an FFT."""
 
     N: int
     B: int
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ValueError("the schedule needs N >= 1 elements")
         if self.B < self.N:
             raise ValueError("full-rank estimation needs B >= N")
 
@@ -82,50 +90,56 @@ class ReflectionSchedule:
     def q1(self) -> np.ndarray:
         return -self.q0
 
-    @cached_property
-    def Qtilde(self) -> np.ndarray:
-        # exp(-2 pi i n b / B) depends on n b mod B only: index the B roots
-        roots = np.exp(-2j * np.pi * np.arange(self.B) / self.B)
-        Qt = roots[np.outer(np.arange(self.N), np.arange(self.B)) % self.B]
-        Qt.flags.writeable = False
-        return Qt
-
     def scheduled_reflection(self, b: int) -> np.ndarray:
         """The 1 x N reflection row used in sub-frame b."""
-        return self.Qtilde[:, b].conj()
-
-    @cached_property
-    def reflections(self) -> np.ndarray:
-        """All (B + 2, N) reflection rows in sounding order: q0, q1, then
-        the B scheduled reflections."""
-        rows = np.vstack([self.q0, self.q1, self.Qtilde.T.conj()])
-        rows.flags.writeable = False
-        return rows
+        # exp(2 pi j n b / B) depends on n b mod B only
+        return np.exp(2j * np.pi * (np.arange(self.N) * b % self.B) / self.B)
 
 
-@lru_cache(maxsize=1)
 def make_reflection_schedule(N: int, B: int) -> ReflectionSchedule:
-    """Fourier schedule of B sub-frames for an N-element RIS.  The last
-    (N, B) is kept, so the intervals of a cell share one schedule and at
-    most one N x B schedule stays resident."""
+    """Fourier schedule of B sub-frames for an N-element RIS."""
     return ReflectionSchedule(N, B)
+
+
+def _scheduled_channels(snap: NetworkSnapshot, sched: ReflectionSchedule) -> np.ndarray:
+    """Combined channels of every IoT under q0, q1 and the B scheduled
+    reflections, as (I, B + 2, M): h_d +/- sum_n G[n], then h_d + B ifft(G)
+    over the elements, zero-padded to B points."""
+    if sched.N != snap.N:
+        raise ValueError("schedule and snapshot disagree on element count")
+    h_d = snap.direct_rows[:, None, :]
+    ris = np.sum(snap.G, axis=1, keepdims=True)
+    rows = np.empty((snap.I, sched.B + 2, snap.M), dtype=complex)
+    rows[:, :1] = h_d + ris
+    rows[:, 1:2] = h_d - ris
+    rows[:, 2:] = h_d + sched.B * np.fft.ifft(snap.G, n=sched.B, axis=1)
+    return rows
 
 
 def simulate_pilot_rx(snap: NetworkSnapshot, q, pilots: PilotBook, rng=None) -> np.ndarray:
     """Received pilot blocks under reflection q: (T, M) for one reflection,
-    (K, T, M) for a (K, N) stack.  rng None disables noise.
+    (K, T, M) for a (K, N) stack, and (B + 2, T, M) for a ReflectionSchedule,
+    sounded in the order q0, q1, then the B scheduled reflections.  rng None
+    disables noise.
 
     Each block's noise is drawn as its real then its imaginary (T, M) part,
     in stack order, so a stack uses rng exactly as K single calls do.
     """
     if pilots.I != snap.I:
         raise ValueError("pilot book and snapshot disagree on IoT count")
-    combined = combined_channel(snap.direct_rows, q, snap.G)   # (..., I, M)
-    Y = pilots.S @ combined
+    if isinstance(q, ReflectionSchedule):
+        # one GEMM over the (I, (B + 2) M) rows, viewed as (B + 2, T, M)
+        rows = _scheduled_channels(snap, q)
+        Y = (pilots.S @ rows.reshape(snap.I, -1)).reshape(pilots.T, -1, snap.M)
+        Y = Y.transpose(1, 0, 2)
+    else:
+        Y = pilots.S @ combined_channel(snap.direct_rows, q, snap.G)
     if rng is not None:
         scale = np.sqrt(snap.sigma2 / 2.0)
         z = rng.standard_normal(Y.shape[:-2] + (2,) + Y.shape[-2:])
-        Y = Y + scale * (z[..., 0, :, :] + 1j * z[..., 1, :, :])
+        z *= scale
+        Y.real += z[..., 0, :, :]
+        Y.imag += z[..., 1, :, :]
     return Y
 
 
@@ -142,18 +156,21 @@ def estimate_cascaded(Yb, pilots: PilotBook, Hd_hat: np.ndarray,
     """LS cascaded-channel estimates of all IoTs as one (I, N, M) tensor,
     from the (B, T, M) blocks received under the scheduled reflections.
 
-    Each IoT's projection is normalized by its pilot energy P_i * T, and
-    the schedule's normal matrix is B I, so G = Qtilde u / B.
+    Each IoT's projection u is normalized by its pilot energy P_i * T, and
+    the schedule's normal matrix is B I, so G is the first N points of
+    fft(u) over the sub-frames, divided by B.
     """
     Yb = np.asarray(Yb, dtype=complex)
     if Yb.ndim != 3 or Yb.shape[0] != sched.B:
         raise ValueError("need one received block per scheduled reflection")
+    B, T, M = Yb.shape
     resid = Yb - pilots.S @ np.asarray(Hd_hat, dtype=complex).conj().T
-    # u[b, i] = s_i r_b / (P_i T), the row IoT i sees in sub-frame b
-    u = pilots.S.conj().T @ resid / (pilots.powers * pilots.T)[:, None]
-    B, I, M = u.shape
-    G = sched.Qtilde @ u.reshape(B, I * M) / B
-    return G.reshape(sched.N, I, M).transpose(1, 0, 2)
+    # the B residual blocks side by side, (T, B M), projected by one GEMM:
+    # u[i, b] = s_i r_b / (P_i T), the row IoT i sees in sub-frame b
+    resid = resid.transpose(1, 0, 2).reshape(T, B * M)
+    u = pilots.S.conj().T @ resid / (pilots.powers * T)[:, None]
+    G = np.fft.fft(u.reshape(-1, B, M), axis=1)[:, :sched.N]
+    return G / sched.B
 
 
 def pilot_overhead_symbols(B: int, T: int) -> int:

@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,10 +181,10 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     pilots = estimation.make_orthogonal_pilots(count, T, powers)
     sched = estimation.make_reflection_schedule(N, B)
     noise_rng = None if cfg.estimation.noiseless else rng
-    Y = estimation.simulate_pilot_rx(snap, sched.reflections, pilots, noise_rng)
+    Y = estimation.simulate_pilot_rx(snap, sched, pilots, noise_rng)
     Hd_hat = estimation.estimate_direct(Y[0], Y[1], pilots)
     G_hat = estimation.estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
-    del Y   # free the (B + 2, T, M) pilot blocks; the schedule is cached
+    del Y   # free the (B + 2, T, M) pilot blocks before the solver
 
     snap_est = ris_system.NetworkSnapshot(H_d=Hd_hat, G=G_hat, P_t=powers,
                                           sigma2=sigma2,
@@ -212,12 +213,16 @@ def _trial_worker(args) -> TrialRecord:
 
 def run_cell(cfg: ScenarioConfig, trials: int, seed=None, cell_idx: int = 0,
              n_jobs: int = 1) -> list:
-    """All trials of one sweep cell, in trial order regardless of n_jobs."""
+    """All trials of one sweep cell, in trial order regardless of n_jobs.
+
+    The pool gets at most one worker per trial and per CPU, however many
+    jobs are asked for."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if seed is None:
         seed = cfg.seed
     tasks = [(cfg, cell_idx, k, seed) for k in range(trials)]
+    n_jobs = min(n_jobs, trials, os.cpu_count() or 1)
     if n_jobs <= 1:
         return [_trial_worker(a) for a in tasks]
     with multiprocessing.Pool(n_jobs) as pool:

@@ -103,8 +103,8 @@ def test_sweep_output_identical_across_jobs_and_formats(tiny_ini, tmp_path):
 
 def test_n_sweep_that_revisits_a_size_is_identical_across_jobs(tiny_ini,
                                                                 tmp_path):
-    # 8, 16, 8 makes the cached reflection schedule change size twice, in
-    # this process and in the workers
+    # 8, 16, 8 changes the reflection schedule's size twice, in this
+    # process and in the workers
     texts = {}
     for jobs in ("1", "2"):
         path = tmp_path / f"jobs{jobs}.csv"

@@ -13,6 +13,7 @@ from marisim.config import (
 )
 from marisim.estimation import (
     PilotBook,
+    ReflectionSchedule,
     estimate_cascaded,
     estimate_direct,
     make_orthogonal_pilots,
@@ -22,7 +23,7 @@ from marisim.estimation import (
 )
 from marisim.harness import run_cell
 from marisim.optimizer import OptimizerConfig
-from marisim.ris_system import NetworkSnapshot
+from marisim.ris_system import NetworkSnapshot, combined_channel
 
 
 def random_snapshot(rng, N, M, I, sigma2=1.0):
@@ -36,7 +37,7 @@ def random_snapshot(rng, N, M, I, sigma2=1.0):
 def run_pipeline(snap, B, T, noise_rng=None):
     pilots = make_orthogonal_pilots(snap.I, T, snap.P_t)
     sched = make_reflection_schedule(snap.N, B)
-    Y = simulate_pilot_rx(snap, sched.reflections, pilots, noise_rng)
+    Y = simulate_pilot_rx(snap, sched, pilots, noise_rng)
     Hd_hat = estimate_direct(Y[0], Y[1], pilots)
     G_hat = estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
     assert G_hat.shape == (snap.I, snap.N, snap.M)
@@ -62,10 +63,17 @@ def test_pilot_book_requires_enough_symbols():
         make_orthogonal_pilots(2, 2, np.array([1.0, 0.0]))
 
 
+def reflection_stack(sched):
+    """The (B + 2, N) reflection rows in sounding order: q0, q1, then the B
+    scheduled reflections."""
+    return np.array([sched.q0, sched.q1]
+                    + [sched.scheduled_reflection(b) for b in range(sched.B)])
+
+
 def assert_closed_form(sched):
     N, B = sched.N, sched.B
     n, b = np.arange(N)[:, None], np.arange(B)[None, :]
-    Qt = sched.Qtilde
+    Qt = reflection_stack(sched)[2:].T.conj()   # N x B, column b = q_b^H
     assert np.max(np.abs(Qt - np.exp(-2j * np.pi * n * b / B))) < 1e-12
     assert np.max(np.abs(Qt @ Qt.conj().T - B * np.eye(N))) < 1e-12
 
@@ -75,50 +83,34 @@ def test_reflection_schedule_structure():
     assert (sched.N, sched.B) == (6, 9)
     assert sched.q1 == pytest.approx(-sched.q0)
     assert np.abs(sched.q0) == pytest.approx(np.ones(6))
+    n = np.arange(6)
     for b in range(9):
         q = sched.scheduled_reflection(b)
         assert np.abs(q) == pytest.approx(np.ones(6))
-        assert q == pytest.approx(sched.Qtilde[:, b].conj())
-        assert np.array_equal(sched.reflections[b + 2], q)
-    assert np.array_equal(sched.reflections[:2], [sched.q0, sched.q1])
-    Qt = sched.Qtilde
-    assert Qt @ Qt.conj().T == pytest.approx(9.0 * np.eye(6), abs=1e-12)
-    # the table of B roots of unity gives the closed-form DFT schedule
+        assert q == pytest.approx(np.exp(2j * np.pi * n * b / 9))
+    # the closed-form DFT schedule, also at the paper's full array
     for N, B in ((6, 9), (360, 360)):
         assert_closed_form(make_reflection_schedule(N, B))
     with pytest.raises(ValueError):
         make_reflection_schedule(6, 5)   # fewer sub-frames than elements
 
 
-def test_schedule_is_built_once_per_n_and_b():
-    sched = make_reflection_schedule(6, 9)
-    assert make_reflection_schedule(6, 9) is sched
-    assert sched.Qtilde is sched.Qtilde
-    assert sched.reflections is sched.reflections
-
-
-def test_schedule_arrays_are_read_only():
-    sched = make_reflection_schedule(4, 5)
-    with pytest.raises(ValueError):
-        sched.Qtilde[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        sched.reflections[2] *= 2.0
-    # and the cached copy is untouched
-    assert_closed_form(make_reflection_schedule(4, 5))
+@pytest.mark.parametrize("N, B", [(0, 0), (0, 4), (-1, 3)])
+def test_empty_schedule_is_rejected(N, B):
+    with pytest.raises(ValueError, match="N >= 1"):
+        make_reflection_schedule(N, B)
+    with pytest.raises(ValueError, match="N >= 1"):
+        ReflectionSchedule(N, B)
 
 
 def test_schedule_rebuilt_after_another_n_and_b_is_the_closed_form():
-    make_reflection_schedule.cache_clear()
     first = make_reflection_schedule(6, 9)
-    rows = first.reflections
+    rows = reflection_stack(first)
     other = make_reflection_schedule(5, 7)
     assert_closed_form(other)
     again = make_reflection_schedule(6, 9)
-    # only the last (N, B) is kept, so the first one was rebuilt
-    assert again is not first
-    assert make_reflection_schedule.cache_info().misses == 3
     assert_closed_form(again)
-    assert np.array_equal(again.reflections, rows)
+    assert np.array_equal(reflection_stack(again), rows)
 
 
 def test_intervals_of_a_cell_share_one_schedule(monkeypatch):
@@ -130,7 +122,6 @@ def test_intervals_of_a_cell_share_one_schedule(monkeypatch):
         return sound(snap, q, pilots, rng)
 
     monkeypatch.setattr(estimation, "simulate_pilot_rx", spy)
-    make_reflection_schedule.cache_clear()
     cfg = ScenarioConfig(
         sea_state=5, geometry=GeometryConfig(mean_iot_count=4.0),
         radio=RadioConfig(m_antennas=2, n_elements=8),
@@ -139,10 +130,79 @@ def test_intervals_of_a_cell_share_one_schedule(monkeypatch):
                                   randomization_draws=5))
     run_cell(cfg, trials=2, seed=3)
     assert len(sounded) == 2   # both intervals deployed IoTs and sounded
-    info = make_reflection_schedule.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert sounded[0] is sounded[1]
+    assert sounded[0] == sounded[1] == make_reflection_schedule(8, 8)
     assert_closed_form(make_reflection_schedule(8, 8))
+
+
+def fft_snapshot(rng, N, M=2, I=3, sigma2=1.0):
+    """A random snapshot with the pilot book that sounds it (T = I + 1)."""
+    snap = random_snapshot(rng, N, M, I, sigma2)
+    return snap, make_orthogonal_pilots(I, I + 1, snap.P_t)
+
+
+@pytest.mark.parametrize("N, B", [(5, 5), (5, 8), (360, 360)])
+def test_schedule_sounding_equals_per_row_sounding(N, B):
+    """Sounding the schedule through the FFT gives the blocks of sounding
+    q0, q1 and every scheduled_reflection(b) through combined_channel."""
+    rng = np.random.default_rng([16, N, B])
+    snap, pilots = fft_snapshot(rng, N)
+    sched = make_reflection_schedule(N, B)
+    Y = simulate_pilot_rx(snap, sched, pilots)
+    assert Y.shape == (B + 2, pilots.T, snap.M)
+    ref = np.stack([pilots.S @ combined_channel(snap.direct_rows, q, snap.G)
+                    for q in reflection_stack(sched)])
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(Y - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("N, B", [(5, 5), (5, 8)])
+def test_schedule_sounding_draws_the_stacked_noise(N, B):
+    """With the same seed the schedule draws the noise of the stacked
+    (B + 2, N) sounding, in the same order, and leaves the generator in the
+    same state."""
+    rng = np.random.default_rng([17, N, B])
+    snap, pilots = fft_snapshot(rng, N, sigma2=2.0)
+    sched = make_reflection_schedule(N, B)
+    Q = reflection_stack(sched)
+    sched_rng, stack_rng = np.random.default_rng(18), np.random.default_rng(18)
+    noise = (simulate_pilot_rx(snap, sched, pilots, sched_rng)
+             - simulate_pilot_rx(snap, sched, pilots))
+    stacked = (simulate_pilot_rx(snap, Q, pilots, stack_rng)
+               - simulate_pilot_rx(snap, Q, pilots))
+    assert np.max(np.abs(noise - stacked)) <= 1e-12 * np.max(np.abs(stacked))
+    assert sched_rng.bit_generator.state == stack_rng.bit_generator.state
+    # each block's real then imaginary (T, M) part, at sigma2 / 2 each
+    z = np.random.default_rng(18).standard_normal((B + 2, 2, pilots.T, snap.M))
+    drawn = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(snap.sigma2 / 2.0)
+    assert np.max(np.abs(noise - drawn)) <= 1e-12 * np.max(np.abs(drawn))
+
+
+def test_schedule_sounding_rejects_another_element_count():
+    rng = np.random.default_rng(19)
+    snap, pilots = fft_snapshot(rng, 5)
+    with pytest.raises(ValueError, match="element count"):
+        simulate_pilot_rx(snap, make_reflection_schedule(6, 6), pilots)
+
+
+@pytest.mark.parametrize("N, B", [(5, 5), (5, 8), (360, 360)])
+def test_fft_least_squares_is_the_closed_form_matched_filter(N, B):
+    """Stage-two LS equals G[n] = sum_b exp(-2 pi j n b / B) u[b] / B with
+    u[b, i] = s_i^H (Y_b - S Hd_hat^H) / (P_i T), built here without FFT."""
+    rng = np.random.default_rng([20, N, B])
+    M, I, T = 2, 3, 4
+    P = rng.uniform(0.5, 2.0, I)
+    pilots = make_orthogonal_pilots(I, T, P)
+    Yb = rng.standard_normal((B, T, M)) + 1j * rng.standard_normal((B, T, M))
+    Hd_hat = rng.standard_normal((M, I)) + 1j * rng.standard_normal((M, I))
+    S = pilots.S
+    u = np.einsum("ti,btm->bim", S.conj(), Yb - S @ Hd_hat.conj().T)
+    u /= (P * T)[:, None]
+    n, b = np.arange(N)[:, None], np.arange(B)[None, :]
+    F = np.exp(-2j * np.pi * n * b / B)
+    expected = np.einsum("nb,bim->inm", F, u) / B
+    G_hat = estimate_cascaded(Yb, pilots, Hd_hat, make_reflection_schedule(N, B))
+    assert G_hat.shape == (I, N, M)
+    assert np.max(np.abs(G_hat - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -187,7 +247,7 @@ def test_closed_forms_are_the_least_squares_solution():
     snap = random_snapshot(rng, N, M, I, sigma2=0.3)
     pilots = make_orthogonal_pilots(I, T, snap.P_t)
     sched = make_reflection_schedule(N, B)
-    Y = simulate_pilot_rx(snap, sched.reflections, pilots, rng)
+    Y = simulate_pilot_rx(snap, sched, pilots, rng)
     S = pilots.S
 
     # stage one: Y0 = S (Hd^H + R), Y1 = S (Hd^H - R), R the RIS term
@@ -198,7 +258,8 @@ def test_closed_forms_are_the_least_squares_solution():
 
     # stage two: Y_b - S Hd_hat^H = sum_i S[:, i] q_b G_i over the B blocks
     resid = Y[2:] - S @ Hd_hat.conj().T
-    A = np.vstack([np.kron(S, q[None, :]) for q in sched.reflections[2:]])
+    A = np.vstack([np.kron(S, sched.scheduled_reflection(b)[None, :])
+                   for b in range(B)])
     G = np.linalg.lstsq(A, resid.reshape(B * T, M), rcond=None)[0]
     G = G.reshape(I, N, M)
     G_hat = estimate_cascaded(list(Y[2:]), pilots, Hd_hat, sched)
@@ -211,7 +272,7 @@ def test_stacked_sounding_equals_single_calls():
     rng = np.random.default_rng(14)
     snap = random_snapshot(rng, N=5, M=2, I=3)
     pilots = make_orthogonal_pilots(3, 4, snap.P_t)
-    Q = make_reflection_schedule(5, 7).reflections
+    Q = reflection_stack(make_reflection_schedule(5, 7))
     Y = simulate_pilot_rx(snap, Q, pilots)
     assert Y.shape == (9, 4, 2)
     for k in range(9):

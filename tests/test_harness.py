@@ -6,6 +6,8 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -131,6 +133,41 @@ def test_run_cell_is_deterministic_across_workers():
             assert a.rate_noris == b.rate_noris
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.powers, b.powers)
+
+
+class RecordingPool:
+    """Stand-in for multiprocessing.Pool that records the size it is asked
+    for and maps in this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+def test_run_cell_caps_the_pool_at_trials_and_cpus(monkeypatch):
+    cfg = small_cfg()
+    serial = run_cell(cfg, trials=4, seed=9, cell_idx=1)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for jobs, trials in ((10 ** 6, 4), (10 ** 6, 2), (2, 4), (1, 4)):
+        runs = run_cell(cfg, trials=trials, seed=9, cell_idx=1, n_jobs=jobs)
+        assert [r.rate_ris for r in runs] == [r.rate_ris for r in serial[:trials]]
+    assert RecordingPool.sizes == [3, 2, 2]   # --jobs 1 starts no pool
+    # an unknown CPU count runs the cell in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_cell(cfg, trials=2, seed=9, cell_idx=1, n_jobs=8)
+    assert RecordingPool.sizes == [3, 2, 2]
 
 
 def test_noiseless_ris_never_loses_to_direct():

@@ -7,9 +7,12 @@ import importlib.util
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import marisim
+from marisim import estimation, harness
+from marisim.config import GeometryConfig, RadioConfig, ScenarioConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -61,3 +64,37 @@ def test_rate_sweeps_script_writes_one_row_per_cell(tmp_path):
     assert {(float(r["value"]), int(r["sea_state"])) for r in rows} == {
         (v, s) for v in (10.0, 20.0, 50.0, 100.0) for s in (2, 5)}
     assert all(r["trials"] == "1" for r in rows)
+
+
+def test_one_interval_sounds_the_schedule_once_and_estimates_once(monkeypatch):
+    """The benchmark's estimation.sound and estimation.ls spans wrap these
+    two calls, so all of the sounding and LS work must happen inside them."""
+    calls = []
+    sound, ls = estimation.simulate_pilot_rx, estimation.estimate_cascaded
+    combine = estimation.combined_channel
+
+    def spy_sound(snap, q, pilots, rng=None):
+        calls.append(("sound", q))
+        return sound(snap, q, pilots, rng)
+
+    def spy_ls(Yb, pilots, Hd_hat, sched):
+        calls.append(("ls", sched))
+        return ls(Yb, pilots, Hd_hat, sched)
+
+    def spy_combine(*args):
+        calls.append(("combined_channel", None))
+        return combine(*args)
+
+    monkeypatch.setattr(estimation, "simulate_pilot_rx", spy_sound)
+    monkeypatch.setattr(estimation, "estimate_cascaded", spy_ls)
+    monkeypatch.setattr(estimation, "combined_channel", spy_combine)
+    cfg = ScenarioConfig(sea_state=5,
+                         geometry=GeometryConfig(mean_iot_count=4.0),
+                         radio=RadioConfig(m_antennas=2, n_elements=8))
+    rec = harness.run_coherence_interval(cfg, 0, np.random.default_rng(3))
+    assert len(rec.powers) > 0
+    assert [name for name, _ in calls] == ["sound", "ls"]
+    sched = calls[0][1]
+    assert isinstance(sched, estimation.ReflectionSchedule)
+    assert calls[1][1] is sched
+    assert (sched.N, sched.B) == (8, cfg.b_effective)
