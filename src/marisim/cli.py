@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -30,6 +31,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Built on the first main call and reused: parse_args keeps no state in the
+# parser, so one tree serves every call in the process.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="marisim",
                      description="RIS-assisted maritime IoT uplink simulator")
@@ -210,7 +214,8 @@ def _check_sweep_determinism():
     cfg = _tiny_config()
     texts = []
     for jobs in (1, 1, 2):
-        rows = harness.run_sweep(cfg, "hr0", [5.0], trials=2, seed=7,
+        # two cells, so the parallel run maps both through one shared pool
+        rows = harness.run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, seed=7,
                                  n_jobs=jobs)
         texts.append("".join(harness.format_results(rows, "csv")))
     assert texts[0] == texts[1], "repeat run differs"

@@ -17,7 +17,9 @@ so identical (config, seed) inputs give byte-identical output files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import multiprocessing
@@ -211,6 +213,21 @@ def _trial_worker(args) -> TrialRecord:
     return run_coherence_interval(cfg, trial_idx, rng)
 
 
+@contextlib.contextmanager
+def _trial_records(tasks, n_jobs: int):
+    """Iterator over the records of trial tasks, in task order regardless of
+    n_jobs: in this process for one job, otherwise through one pool of at
+    most one worker per task and per CPU, which is closed on exit."""
+    n_jobs = min(n_jobs, len(tasks), os.cpu_count() or 1)
+    if n_jobs <= 1:
+        yield map(_trial_worker, tasks)
+        return
+    # pool.map's default chunk size, so each worker gets about four chunks
+    chunksize = -(-len(tasks) // (4 * n_jobs))
+    with multiprocessing.Pool(n_jobs) as pool:
+        yield pool.imap(_trial_worker, tasks, chunksize)
+
+
 def run_cell(cfg: ScenarioConfig, trials: int, seed=None, cell_idx: int = 0,
              n_jobs: int = 1) -> list:
     """All trials of one sweep cell, in trial order regardless of n_jobs.
@@ -222,11 +239,8 @@ def run_cell(cfg: ScenarioConfig, trials: int, seed=None, cell_idx: int = 0,
     if seed is None:
         seed = cfg.seed
     tasks = [(cfg, cell_idx, k, seed) for k in range(trials)]
-    n_jobs = min(n_jobs, trials, os.cpu_count() or 1)
-    if n_jobs <= 1:
-        return [_trial_worker(a) for a in tasks]
-    with multiprocessing.Pool(n_jobs) as pool:
-        return pool.map(_trial_worker, tasks)
+    with _trial_records(tasks, n_jobs) as records:
+        return list(records)
 
 
 def aggregate_cell(records) -> dict:
@@ -250,8 +264,11 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int,
     """Sweep one variable over values (crossed with sea states unless the
     variable IS the sea state); returns one aggregate row per cell.
 
-    On a per-cell failure the completed rows are flushed to flush_path (when
-    given) before the error propagates.
+    Every cell's config is built before any trial runs, so an invalid value
+    raises ConfigError first.  All (cell, trial) tasks then run in order
+    through one pool of at most one worker per task and per CPU.  On a
+    failure inside a trial the completed rows are flushed to flush_path
+    (when given) before the error propagates.
     """
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}")
@@ -268,21 +285,29 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int,
         states = [cfg.sea_state] if sea_states is None else list(sea_states)
         cells = [(v, int(s)) for v in values for s in states]
 
-    rows = []
-    for cell_idx, (value, state) in enumerate(cells):
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    cfgs = []
+    for value, state in cells:
         cfg_cell = apply_sweep_value(cfg, variable, value)
         if cfg_cell.sea_state != state:
             cfg_cell = dataclasses.replace(cfg_cell, sea_state=state)
-        try:
-            records = run_cell(cfg_cell, trials, seed, cell_idx, n_jobs)
-        except Exception:
-            if flush_path is not None:
-                emit_results(rows, flush_path, flush_format)
-            raise
-        row = {"sweep_var": variable, "value": value, "sea_state": state}
-        row.update(aggregate_cell(records))
-        row.update({"trials": trials, "seed": seed})
-        rows.append(row)
+        cfgs.append(cfg_cell)
+    tasks = [(cfg_cell, cell_idx, k, seed)
+             for cell_idx, cfg_cell in enumerate(cfgs) for k in range(trials)]
+
+    rows = []
+    try:
+        with _trial_records(tasks, n_jobs) as records:
+            for value, state in cells:
+                cell = list(itertools.islice(records, trials))
+                rows.append({"sweep_var": variable, "value": value,
+                             "sea_state": state, **aggregate_cell(cell),
+                             "trials": trials, "seed": seed})
+    except Exception:
+        if flush_path is not None:
+            emit_results(rows, flush_path, flush_format)
+        raise
     return rows
 
 

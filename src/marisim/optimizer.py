@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -164,6 +164,21 @@ class _ShiftTest:
         return lo
 
 
+@lru_cache(maxsize=4)
+def _start(n: int, r: int) -> np.ndarray:
+    """Fixed (n, r) start with unit rows, drawn from its own seed, not the
+    trial RNG, and computed once per shape.  The method needs only a
+    feasible start, so every solve of one shape may share it.  The array is
+    read-only, because every caller of the cache gets the same one, and the
+    cache keeps the last few shapes only, so a sweep over array sizes holds
+    bounded memory."""
+    init = np.random.default_rng(0)
+    U = init.standard_normal((n, r)) + 1j * init.standard_normal((n, r))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    U.flags.writeable = False
+    return U
+
+
 def solve_sdp(obj: HomogenizedObjective, tol: float = 1e-6,
               max_iter: int = 5000) -> SdpSolution:
     """Maximize Tr(DV) s.t. diag(V) = 1, V PSD, over V = U U^H.
@@ -188,9 +203,7 @@ def solve_sdp(obj: HomogenizedObjective, tol: float = 1e-6,
     test = _ShiftTest(obj)
     n = W.shape[0]
     r = min(n, math.ceil(math.sqrt(2 * n)) + 1)
-    init = np.random.default_rng(0)     # fixed start, not the trial RNG
-    U = init.standard_normal((n, r)) + 1j * init.standard_normal((n, r))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    U = _start(n, r).copy()     # the loop below writes into U
     value = -np.inf
     next_check = 1
     for k in range(1, max_iter + 1):

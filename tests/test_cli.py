@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import marisim
-from marisim import sea_surface
+from marisim import cli, harness, sea_surface
 from marisim.cli import MAX_PATHLOSS_POINTS, main
 from marisim.harness import RESULT_COLUMNS
 
@@ -230,6 +230,71 @@ def test_non_finite_config_values_exit_1(section, line, tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--var", "hr0",
                  "--values", "5", "--trials", "1", "--seed", "1"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_invalid_sweep_value_exits_1_before_any_interval(tiny_ini, tmp_path,
+                                                        monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "run_coherence_interval",
+                        lambda *args: calls.append(args))
+    out = tmp_path / "f.csv"
+    for values, trials, message in (("5,-3", "2", "rx_mast_m must be positive"),
+                                    ("5", "0", "trials must be >= 1")):
+        assert main(["sweep", "--config", tiny_ini, "--var", "hr0",
+                     "--values", values, "--trials", trials, "--seed", "3",
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    for _ in range(2):
+        assert main(["pathloss", "--d-min", "100", "--d-max", "200",
+                     "--points", "2"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert parsers[0] is cli._build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(tiny_ini, tmp_path,
+                                                    monkeypatch, capsys):
+    seen = []
+    for name, command in list(cli._COMMANDS.items()):
+        def recording(cfg, args, command=command):
+            seen.append(dict(vars(args)))
+            return command(cfg, args)
+        monkeypatch.setitem(cli._COMMANDS, name, recording)
+
+    def sweep(out):
+        return ["sweep", "--config", tiny_ini, "--var", "hr0",
+                "--values", "5,7", "--trials", "2", "--seed", "4",
+                "--out", str(tmp_path / out)]
+
+    assert main(sweep("a.csv")) == 0
+    # parsed up to the bad --format, so --jobs and --values were taken
+    assert main(["sweep", "--config", tiny_ini, "--var", "n",
+                 "--values", "9", "--jobs", "2", "--seed", "8",
+                 "--format", "xml"]) == 1
+    assert main(["los-prob", "--states", "3", "--heights", "2",
+                 "--samples", "50", "--seed", "2"]) == 0
+    assert main(sweep("b.csv")) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    first, los, second = seen
+    assert first.pop("out").endswith("a.csv")
+    assert second.pop("out").endswith("b.csv")
+    assert first == second
+    assert first["jobs"] == 1 and first["format"] == "csv"
+    assert los == {"command": "los-prob", "config": None, "states": "3",
+                   "heights": "2", "samples": 50, "seed": 2, "out": None,
+                   "format": "csv"}
 
 
 def test_numerical_failure_exits_2(monkeypatch, capsys):

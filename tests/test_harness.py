@@ -150,8 +150,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return [fn(t) for t in tasks]
+    def imap(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
 
 
 def test_run_cell_caps_the_pool_at_trials_and_cpus(monkeypatch):
@@ -168,6 +168,35 @@ def test_run_cell_caps_the_pool_at_trials_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_cell(cfg, trials=2, seed=9, cell_idx=1, n_jobs=8)
     assert RecordingPool.sizes == [3, 2, 2]
+
+
+def test_run_sweep_maps_every_cell_through_one_pool(monkeypatch):
+    cfg = small_cfg()
+    serial = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2, seed=8)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pooled = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2, seed=8,
+                       n_jobs=2)
+    assert RecordingPool.sizes == [2]
+    assert pooled == serial
+
+
+def test_failed_cell_flushes_partial_results_through_one_pool(tmp_path,
+                                                              monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = small_cfg(N=4, b_subframes=8)
+    out = tmp_path / "partial.csv"
+    with pytest.raises(ConfigError):
+        # second cell asks for more elements than scheduled sub-frames
+        run_sweep(cfg, "n", [4, 16], trials=1, seed=1, flush_path=out,
+                  n_jobs=2)
+    assert RecordingPool.sizes == [2]
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and int(rows[0]["value"]) == 4
 
 
 def test_noiseless_ris_never_loses_to_direct():

@@ -1,9 +1,12 @@
 """SDP relaxation, randomized rounding, and the brute-force oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from marisim import optimizer
 from marisim.optimizer import (
     HomogenizedObjective,
     OptimizerConfig,
@@ -149,6 +152,47 @@ def test_iteration_cap_of_one_is_not_certified():
     assert_certificate_holds(obj, sol, 1e-6)
     with pytest.raises(ValueError):
         solve_sdp(obj, tol=1e-6, max_iter=0)
+
+
+def oracle_start(n, r):
+    """The start solve_sdp drew inline on every solve before it was cached,
+    kept verbatim."""
+    init = np.random.default_rng(0)     # fixed start, not the trial RNG
+    U = init.standard_normal((n, r)) + 1j * init.standard_normal((n, r))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    return U
+
+
+def test_cached_start_is_the_old_draw_and_read_only():
+    rng = np.random.default_rng(67)
+    obj = build_D(random_snapshot(rng, N=30, M=2, I=2))
+    n = obj.N + 1
+    r = min(n, math.ceil(math.sqrt(2 * n)) + 1)
+    start = optimizer._start(n, r)
+    assert not start.flags.writeable
+    with pytest.raises(ValueError):
+        start[0, 0] = 0.0
+    assert np.array_equal(start, oracle_start(n, r))
+    # a one-iteration solve returns its own writeable copy of the start
+    first = solve_sdp(obj, tol=1e-6, max_iter=1)
+    assert np.array_equal(first.U, oracle_start(n, r))
+    assert first.U.flags.writeable and not np.shares_memory(first.U, start)
+    # longer solves write into their copy and leave the cached start alone
+    a = solve_sdp(obj, tol=1e-9, max_iter=400)
+    b = solve_sdp(obj, tol=1e-9, max_iter=400)
+    assert a.iterations > 1
+    assert optimizer._start(n, r) is start
+    assert np.array_equal(start, oracle_start(n, r))
+    assert np.array_equal(a.U, b.U)
+    assert a.objective == b.objective and a.iterations == b.iterations
+
+
+def test_start_cache_holds_a_bounded_number_of_shapes():
+    maxsize = optimizer._start.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 16
+    for n in range(2, maxsize + 6):
+        optimizer._start(n, 2)
+    assert optimizer._start.cache_info().currsize <= maxsize
 
 
 def test_indefinite_objective_is_never_falsely_certified():
