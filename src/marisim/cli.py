@@ -13,10 +13,11 @@ import sys
 
 import numpy as np
 
-from . import channel, energy, estimation, harness, optimizer, ris_system
+from . import (channel, energy, estimation, harness, optimizer, ris_system,
+               sea_surface)
 from .config import (ConfigError, SWEEP_VARIABLES, ScenarioConfig, _parse,
                      load_config, sea_level)
-from .sea_surface import sea_state
+from .sea_surface import FloatingNode, sea_state
 
 
 # pathloss holds every column of its table in memory at once: at this cap one
@@ -222,6 +223,28 @@ def _check_sweep_determinism():
     assert texts[0] == texts[2], "parallel run differs"
 
 
+def _check_los_table_determinism():
+    cfg = ScenarioConfig()
+    states, heights, samples, seed = (3, 8), (2.0, 30.0), 4000, 5
+    tx = FloatingNode(position=cfg.geometry.turbine_position,
+                      mast_height=cfg.geometry.iot_mast_m)
+    # the cells one by one in this thread, against the table's thread pool
+    serial = [sea_surface.los_probability(
+                  sea_state(level), tx,
+                  FloatingNode(position=cfg.geometry.rx_position,
+                               mast_height=h),
+                  samples, seed=[seed, si, hi],
+                  source=cfg.geometry.wave_source)
+              for si, level in enumerate(states)
+              for hi, h in enumerate(heights)]
+    reference = {"sea_state": np.repeat(states, len(heights)),
+                 "h_r0_m": np.tile(heights, len(states)),
+                 "los_prob": np.array(serial)}
+    table = harness.los_probability_table(cfg, states, heights, samples, seed)
+    texts = ["".join(harness.format_table(t, "csv")) for t in (reference, table)]
+    assert texts[0] == texts[1], "table differs from the serial cells"
+
+
 _CHECKS = (
     ("estimation exact recovery", _check_estimation_exact),
     ("SDP hand instance", _check_sdp_hand_instance),
@@ -229,6 +252,7 @@ _CHECKS = (
     ("energy chain arithmetic", _check_energy_chain),
     ("path-loss ordering", _check_pathloss_ordering),
     ("sweep determinism", _check_sweep_determinism),
+    ("LoS table determinism", _check_los_table_determinism),
 )
 
 

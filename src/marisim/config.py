@@ -40,6 +40,15 @@ def sea_level(value) -> int:
     return level
 
 
+# Caps that no physical scenario reaches.  A larger count would exhaust
+# memory and a larger length would overflow the channel phases before an
+# interval ends, so the loader and the sweep values reject them.
+MAX_ELEMENTS = 10_000          # RIS elements, and pilot sub-frames
+MAX_ANTENNAS = 64              # receiver antennas
+MAX_MEAN_IOTS = 10_000         # mean IoT count, and pilot length
+MAX_LENGTH_M = 100_000.0       # every geometry length and coordinate
+
+
 @dataclass(frozen=True)
 class GeometryConfig:
     """Site layout: turbine-mounted RIS, receiver buoy, IoT deployment disk."""
@@ -57,12 +66,24 @@ class GeometryConfig:
     def __post_init__(self):
         if not 20.0 <= self.ris_height_m <= 50.0:
             raise ConfigError("ris_height_m must lie in [20, 50]")
-        for name in ("turbine_diameter_m", "buoy_distance_m", "deploy_radius_m",
-                     "mean_iot_count", "rx_mast_m", "iot_mast_m"):
-            if not getattr(self, name) > 0:
+        for name, cap in (("turbine_diameter_m", MAX_LENGTH_M),
+                          ("buoy_distance_m", MAX_LENGTH_M),
+                          ("deploy_radius_m", MAX_LENGTH_M),
+                          ("mean_iot_count", MAX_MEAN_IOTS),
+                          ("rx_mast_m", MAX_LENGTH_M),
+                          ("iot_mast_m", MAX_LENGTH_M)):
+            value = getattr(self, name)
+            if not value > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.deploy_radius_m <= self.turbine_diameter_m / 2.0:
-            raise ConfigError("deploy_radius_m must exceed the turbine radius")
+            if value > cap:
+                raise ConfigError(f"{name} must be <= {cap:g}")
+        if not all(abs(x) <= MAX_LENGTH_M
+                   for x in (*self.turbine_position, *self.wave_source)):
+            raise ConfigError("turbine and wave source coordinates must lie "
+                              f"within +/-{MAX_LENGTH_M:g} m")
+        for name in ("buoy_distance_m", "deploy_radius_m"):
+            if getattr(self, name) <= self.turbine_diameter_m / 2.0:
+                raise ConfigError(f"{name} must exceed the turbine radius")
         if math.dist(self.turbine_position, self.wave_source) == 0:
             raise ConfigError("wave source sits on the turbine")
 
@@ -91,8 +112,10 @@ class RadioConfig:
     sigma2_dbw: float = DEFAULT_NOISE_DBW
 
     def __post_init__(self):
-        if self.m_antennas < 1 or self.n_elements < 1:
-            raise ConfigError("antenna and element counts must be >= 1")
+        if not 1 <= self.m_antennas <= MAX_ANTENNAS:
+            raise ConfigError(f"m_antennas must lie in [1, {MAX_ANTENNAS}]")
+        if not 1 <= self.n_elements <= MAX_ELEMENTS:
+            raise ConfigError(f"n_elements must lie in [1, {MAX_ELEMENTS}]")
         if not self.beta_hz > 0:
             raise ConfigError("beta_hz must be positive")
 
@@ -108,10 +131,11 @@ class EstimationConfig:
     noiseless: bool = False
 
     def __post_init__(self):
-        if self.b_subframes is not None and self.b_subframes < 1:
-            raise ConfigError("b_subframes must be >= 1")
-        if self.t_pilot_len is not None and self.t_pilot_len < 1:
-            raise ConfigError("t_pilot_len must be >= 1")
+        for name, cap in (("b_subframes", MAX_ELEMENTS),
+                          ("t_pilot_len", MAX_MEAN_IOTS)):
+            value = getattr(self, name)
+            if value is not None and not 1 <= value <= cap:
+                raise ConfigError(f"{name} must lie in [1, {cap}]")
 
 
 @dataclass(frozen=True)

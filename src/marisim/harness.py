@@ -213,12 +213,18 @@ def _trial_worker(args) -> TrialRecord:
     return run_coherence_interval(cfg, trial_idx, rng)
 
 
+def _pool_size(*caps: int) -> int:
+    """Workers for a pool: at most one per CPU, and within every cap given
+    (the task count, the jobs asked for)."""
+    return min(*caps, os.cpu_count() or 1)
+
+
 @contextlib.contextmanager
 def _trial_records(tasks, n_jobs: int):
     """Iterator over the records of trial tasks, in task order regardless of
     n_jobs: in this process for one job, otherwise through one pool of at
     most one worker per task and per CPU, which is closed on exit."""
-    n_jobs = min(n_jobs, len(tasks), os.cpu_count() or 1)
+    n_jobs = _pool_size(n_jobs, len(tasks))
     if n_jobs <= 1:
         yield map(_trial_worker, tasks)
         return
@@ -398,21 +404,40 @@ def emit_results(rows, path, fmt: str = "csv") -> None:
 def los_probability_table(cfg: ScenarioConfig, states, heights,
                           samples: int = 10_000, seed=None) -> dict:
     """LoS probability of the IoT->receiver hop per (sea state, mast height),
-    as sea_state, h_r0_m and los_prob columns, heights varying fastest."""
+    as sea_state, h_r0_m and los_prob columns, heights varying fastest.
+
+    The cells run in order on a pool of at most one thread per cell and per
+    CPU, or in this thread when that is one.  Each cell draws from its own
+    generator, seeded by (seed, state index, height index), and its
+    probability is an exact count over samples, so the table is the same
+    for any thread count.  numpy releases the GIL in the sampler's ufunc
+    loops, so the threads overlap."""
     if seed is None:
         seed = cfg.seed
     levels = [int(level) for level in states]
     heights = [float(h) for h in heights]
     tx = FloatingNode(position=cfg.geometry.turbine_position,
                       mast_height=cfg.geometry.iot_mast_m)
-    probs = []
-    for si, level in enumerate(levels):
-        state = sea_surface.sea_state(level)
-        for hi, h in enumerate(heights):
-            rx = FloatingNode(position=cfg.geometry.rx_position, mast_height=h)
-            probs.append(sea_surface.los_probability(
-                state, tx, rx, samples, seed=[seed, si, hi],
-                source=cfg.geometry.wave_source))
+    cells = [(sea_surface.sea_state(level),
+              FloatingNode(position=cfg.geometry.rx_position, mast_height=h),
+              [seed, si, hi])
+             for si, level in enumerate(levels)
+             for hi, h in enumerate(heights)]
+
+    def probability(cell):
+        state, rx, cell_seed = cell
+        return sea_surface.los_probability(state, tx, rx, samples,
+                                           seed=cell_seed,
+                                           source=cfg.geometry.wave_source)
+
+    workers = _pool_size(len(cells))
+    if workers <= 1:
+        probs = list(map(probability, cells))
+    else:
+        # imported here, on the first pooled table, not with marisim
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            probs = list(pool.map(probability, cells))
     return {"sea_state": np.repeat(levels, len(heights)),
             "h_r0_m": np.tile(heights, len(levels)),
             "los_prob": np.array(probs)}

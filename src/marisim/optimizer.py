@@ -1,6 +1,5 @@
 """RIS phase optimization: homogenized objective, SDP relaxation solved in
-low-rank factored form with a dual certificate, Gaussian randomization, and
-a brute-force oracle.
+low-rank factored form with a dual certificate, and Gaussian randomization.
 
 The quadratic uplink objective over a unit-modulus reflection row q is
 homogenized with an auxiliary coordinate into v = [q, 1], giving the pure
@@ -21,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ris_system import NetworkSnapshot, combined_channel
+from .ris_system import NetworkSnapshot
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +55,17 @@ class SdpSolution:
     # the Schur test, lam and eps of the last check, kept for `gap`
     exit_check: tuple = field(repr=False)
 
-    @property
-    def V(self) -> np.ndarray:
-        return self.U @ self.U.conj().T
-
     @cached_property
     def gap(self) -> float:
         """Certified dual bound minus objective, from bisection steps on the
         exit check's Schur test, run on first read."""
         test, lam, eps = self.exit_check
         return -self.U.shape[0] * test.bound(lam, eps, self.converged)
+
+
+# Randomization draws no scenario needs: each draw is a row of length N + 1
+# held at once, so a larger count would exhaust memory.
+MAX_RANDOMIZATION_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,11 @@ class OptimizerConfig:
     randomization_draws: int = 100
 
     def __post_init__(self):
-        if self.sdp_max_iter < 1 or self.randomization_draws < 1:
-            raise ValueError("sdp_max_iter and randomization_draws must be >= 1")
+        if self.sdp_max_iter < 1:
+            raise ValueError("sdp_max_iter must be >= 1")
+        if not 1 <= self.randomization_draws <= MAX_RANDOMIZATION_DRAWS:
+            raise ValueError("randomization_draws must lie in "
+                             f"[1, {MAX_RANDOMIZATION_DRAWS}]")
 
 
 def build_D(snap: NetworkSnapshot) -> HomogenizedObjective:
@@ -263,33 +266,3 @@ def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng):
             best_q = q
     capacity = snap.beta * float(np.log2(1.0 + best_val / snap.sigma2))
     return best_q, capacity, sol
-
-
-_BRUTE_FORCE_GUARD = 10 ** 8
-_BRUTE_FORCE_CHUNK = 1 << 17
-
-
-def brute_force_phases(snap: NetworkSnapshot, levels: int):
-    """Exhaustive search over levels^N quantized reflections (test oracle)."""
-    N = snap.N
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    total = levels ** N
-    if total > _BRUTE_FORCE_GUARD:
-        raise ValueError("search space exceeds the enumeration guard")
-    phases = np.exp(2j * np.pi * np.arange(levels) / levels)
-    best_val = -np.inf
-    best_idx = 0
-    for start in range(0, total, _BRUTE_FORCE_CHUNK):
-        idx = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total))
-        digits = (idx[:, None] // levels ** np.arange(N)[None, :]) % levels
-        rows = combined_channel(snap.direct_rows, phases[digits], snap.G)
-        val = np.sum(np.abs(rows) ** 2, axis=-1) @ snap.P_t
-        k = int(np.argmax(val))
-        if val[k] > best_val:
-            best_val = float(val[k])
-            best_idx = int(idx[k])
-    digits = (best_idx // levels ** np.arange(N)) % levels
-    q = phases[digits]
-    capacity = snap.beta * float(np.log2(1.0 + best_val / snap.sigma2))
-    return q, capacity

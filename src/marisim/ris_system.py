@@ -125,11 +125,3 @@ def sum_capacity(snap: NetworkSnapshot, q) -> float:
 def direct_capacity(snap: NetworkSnapshot) -> float:
     """Sum capacity with the RIS term deleted (direct channels only)."""
     return _capacity(snap, snap.direct_rows)
-
-
-def aligned_capacity_bound(snap: NetworkSnapshot) -> float:
-    """Perfect-phase-alignment capacity; defined for M = 1 only."""
-    if snap.M != 1:
-        raise ValueError("bound defined for single-antenna receiver")
-    aligned = np.abs(snap.direct_rows[:, 0]) + np.sum(np.abs(snap.G[:, :, 0]), axis=1)
-    return _capacity(snap, aligned[:, None])

@@ -55,8 +55,9 @@ def tiny_ini(tmp_path):
 def test_validate_runs_builtin_checks(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok - ") == 6
-    assert "all 6 checks passed" in out
+    assert out.count("ok - ") == 7
+    assert "all 7 checks passed" in out
+    assert "ok - LoS table determinism" in out
 
 
 def test_sweep_writes_result_csv(tiny_ini, tmp_path):
@@ -180,6 +181,8 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["sweep", "--var", "pmax", "--values", "inf"],
     ["sweep", "--var", "pmax", "--values", "-1"],
     ["sweep", "--var", "sea", "--values", "nan"],
+    ["sweep", "--var", "n", "--values", "99999999999"],  # past the caps
+    ["sweep", "--var", "hr0", "--values", "1e300"],
     ["los-prob", "--heights", "0"],                   # mast must be positive
     ["los-prob", "--heights", "inf"],
     ["pathloss", "--d-max", "inf"],
@@ -220,11 +223,21 @@ def test_exclusions_covering_the_deploy_disk_exit_1(tmp_path, capsys):
     ("radio", "g_t_db = 4000"),          # channel powers overflow a float
     ("radio", "g_r_db = 4000"),
     ("scenario", "interval_duration_s = inf"),
+    # magnitudes past the config caps: memory or phase overflow, not a site
+    ("radio", "n_elements = 99999999999"),        # a 745 GiB request
+    ("geometry", "mean_iot_count = 1e9"),         # a 14.9 GiB request
+    ("geometry", "buoy_distance_m = 1e300"),      # channel phases overflow
+    ("geometry", "deploy_radius_m = 1e300"),
+    ("geometry", "buoy_distance_m = 1e-300"),     # inside the turbine hull
 ])
 def test_non_finite_config_values_exit_1(section, line, tmp_path, capsys):
+    # the line replaces any line of TINY_INI that sets the same key
+    key = line.split(" = ")[0]
+    text = "".join(kept for kept in TINY_INI.splitlines(keepends=True)
+                   if not kept.startswith(key + " = "))
     head = f"[{section}]\n"
-    text = (TINY_INI.replace(head, head + line + "\n") if head in TINY_INI
-            else TINY_INI + "\n" + head + line + "\n")
+    text = (text.replace(head, head + line + "\n") if head in text
+            else text + "\n" + head + line + "\n")
     path = tmp_path / "scenario.ini"
     path.write_text(text)
     assert main(["sweep", "--config", str(path), "--var", "hr0",

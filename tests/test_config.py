@@ -11,7 +11,12 @@ import pytest
 from marisim.channel import db2pow, pow2db
 from marisim.config import (
     _SCHEMA,
+    MAX_ANTENNAS,
+    MAX_ELEMENTS,
+    MAX_LENGTH_M,
+    MAX_MEAN_IOTS,
     ConfigError,
+    EstimationConfig,
     GeometryConfig,
     RadioConfig,
     ScenarioConfig,
@@ -19,6 +24,7 @@ from marisim.config import (
     load_config,
 )
 from marisim.harness import run_coherence_interval
+from marisim.optimizer import MAX_RANDOMIZATION_DRAWS, OptimizerConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,10 +64,36 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         GeometryConfig(deploy_radius_m=3.0)  # inside the 6 m turbine hull
     assert GeometryConfig(deploy_radius_m=3.5).deploy_radius_m == 3.5
+    with pytest.raises(ConfigError, match="buoy_distance_m"):
+        GeometryConfig(buoy_distance_m=1e-300)   # receiver inside the hull
+    assert GeometryConfig(buoy_distance_m=3.5).buoy_distance_m == 3.5
     with pytest.raises(ConfigError):
         RadioConfig(beta_hz=0.0)
     with pytest.raises(ConfigError):
         RadioConfig(m_antennas=0)
+
+
+@pytest.mark.parametrize("build, field, cap, above", [
+    (RadioConfig, "n_elements", MAX_ELEMENTS, MAX_ELEMENTS + 1),
+    (RadioConfig, "m_antennas", MAX_ANTENNAS, MAX_ANTENNAS + 1),
+    (GeometryConfig, "mean_iot_count", MAX_MEAN_IOTS, MAX_MEAN_IOTS * 1.001),
+    (GeometryConfig, "buoy_distance_m", MAX_LENGTH_M, MAX_LENGTH_M * 1.001),
+    (GeometryConfig, "deploy_radius_m", MAX_LENGTH_M, MAX_LENGTH_M * 1.001),
+    (GeometryConfig, "rx_mast_m", MAX_LENGTH_M, MAX_LENGTH_M * 1.001),
+    (GeometryConfig, "iot_mast_m", MAX_LENGTH_M, MAX_LENGTH_M * 1.001),
+    (GeometryConfig, "turbine_position", (MAX_LENGTH_M, -MAX_LENGTH_M),
+     (0.0, -MAX_LENGTH_M * 1.001)),
+    (GeometryConfig, "wave_source", (-MAX_LENGTH_M, 0.0), (1e300, 0.0)),
+    (EstimationConfig, "b_subframes", MAX_ELEMENTS, MAX_ELEMENTS + 1),
+    (EstimationConfig, "t_pilot_len", MAX_MEAN_IOTS, MAX_MEAN_IOTS + 1),
+    (OptimizerConfig, "randomization_draws", MAX_RANDOMIZATION_DRAWS,
+     MAX_RANDOMIZATION_DRAWS + 1),
+])
+def test_counts_and_lengths_are_capped(build, field, cap, above):
+    # only the configs are built: nothing is allocated at these sizes
+    assert getattr(build(**{field: cap}), field) == cap
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        build(**{field: above})
 
 
 FULL_INI = """\

@@ -1,6 +1,7 @@
 """Monte-Carlo harness: deployment statistics, interval pipeline, sweeps,
 and deterministic result emission."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -8,13 +9,16 @@ import json
 import math
 import multiprocessing
 import os
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from marisim import harness
+from marisim import cli, harness, sea_surface
 from marisim.config import (
     ConfigError,
     EstimationConfig,
@@ -38,7 +42,7 @@ from marisim.harness import (
     run_sweep,
 )
 from marisim.optimizer import OptimizerConfig
-from marisim.sea_surface import sea_state
+from marisim.sea_surface import FloatingNode, sea_state
 
 
 def small_cfg(sea=5, N=8, M=2, mean_iots=2.0, **estimation):
@@ -348,6 +352,114 @@ def test_los_probability_table_shape_and_range():
     assert all(0.0 <= p <= 1.0 for p in table["los_prob"])
     again = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=500, seed=8)
     assert all(np.array_equal(table[c], again[c]) for c in table)
+
+
+def per_cell_reference(cfg, states, heights, samples, seed):
+    """los_probability called cell by cell, in table order, in this thread."""
+    tx = FloatingNode(position=cfg.geometry.turbine_position,
+                      mast_height=cfg.geometry.iot_mast_m)
+    return [sea_surface.los_probability(
+                sea_state(level), tx,
+                FloatingNode(position=cfg.geometry.rx_position,
+                             mast_height=h),
+                samples, seed=[seed, si, hi],
+                source=cfg.geometry.wave_source)
+            for si, level in enumerate(states)
+            for hi, h in enumerate(heights)]
+
+
+class RecordingExecutor(ThreadPoolExecutor):
+    """ThreadPoolExecutor that records the size of every pool made."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
+@pytest.fixture
+def recording_executor(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    return RecordingExecutor.sizes
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_los_probability_table_equals_per_cell_calls(cpus, monkeypatch,
+                                                     recording_executor):
+    cfg = small_cfg()
+    states, heights = [3, 8, 5], [2.0, 30.0]
+    reference = per_cell_reference(cfg, states, heights, 700, 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    table = los_probability_table(cfg, states, heights, samples=700, seed=4)
+    assert table["los_prob"].tolist() == reference
+    assert recording_executor == ([] if cpus == 1 else [cpus])
+
+
+def test_los_probability_table_keeps_cell_order_when_cells_finish_late(
+        monkeypatch):
+    cfg = small_cfg()
+    reference = per_cell_reference(cfg, [3, 7], [2.0, 30.0], 300, 2)
+    calls = sea_surface.los_probability
+
+    def first_cell_slow(state, tx, rx, samples, seed, source):
+        if seed[1:] == [0, 0]:
+            time.sleep(0.2)   # the other thread finishes the rest first
+        return calls(state, tx, rx, samples, seed=seed, source=source)
+
+    monkeypatch.setattr(sea_surface, "los_probability", first_cell_slow)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    table = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=300,
+                                  seed=2)
+    assert table["los_prob"].tolist() == reference
+
+
+def test_los_probability_table_pool_is_capped_at_cells_and_cpus(
+        monkeypatch, recording_executor):
+    cfg = small_cfg()
+    calls = sea_surface.los_probability
+    before = threading.active_count()
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(threading.active_count())
+        return calls(*args, **kwargs)
+
+    monkeypatch.setattr(sea_surface, "los_probability", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for states, heights in (([3, 7], [2.0, 5.0, 30.0]),   # 6 cells, 3 CPUs
+                            ([3], [2.0, 30.0]),           # 2 cells
+                            ([5], [10.0])):               # 1 cell: no pool
+        los_probability_table(cfg, states, heights, samples=50, seed=1)
+        assert threading.active_count() == before
+    assert recording_executor == [3, 2]
+    assert max(seen) <= before + 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    los_probability_table(cfg, [3, 7], [2.0], samples=50, seed=1)
+    assert recording_executor == [3, 2]
+
+
+def test_failing_los_cell_propagates_and_leaves_no_thread(monkeypatch,
+                                                          capsys):
+    calls = sea_surface.los_probability
+
+    def failing(state, tx, rx, samples, seed, source):
+        if seed[1:] == [1, 0]:
+            raise FloatingPointError("overflow in cell (1, 0)")
+        return calls(state, tx, rx, samples, seed=seed, source=source)
+
+    monkeypatch.setattr(sea_surface, "los_probability", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="cell \\(1, 0\\)"):
+        los_probability_table(small_cfg(), [3, 7], [2.0, 30.0], samples=50)
+    assert threading.active_count() == before
+    assert cli.main(["los-prob", "--states", "3,7", "--heights", "2,30",
+                     "--samples", "50"]) == 2
+    assert "overflow in cell (1, 0)" in capsys.readouterr().err
+    assert threading.active_count() == before
 
 
 def test_pathloss_table_columns_and_guard():
