@@ -26,9 +26,14 @@ DEFAULT_NOISE_DBW = -131.0
 # floored here (~240 dB loss) instead of raising.
 LOG_ARG_FLOOR = 1e-12
 
-# No physical antenna comes near 100 dB of gain, and within it the channel
-# amplitudes and powers stay finite.
+# Bounds that no physical link comes near, and within which the channel
+# amplitudes, powers and phases stay finite: antenna gains, shadowing
+# spread, the carrier (below 1 kHz the RIS's half-wavelength spacing
+# exceeds 150 km) and the evaporation duct height.
 MAX_ANTENNA_GAIN_DB = 100.0
+MAX_SHADOWING_DB = 100.0
+MIN_CARRIER_HZ = 1e3
+MAX_DUCT_HEIGHT_M = 10_000.0
 
 # Antennas riding a trough can dip to or below the mean sea level, where the
 # two-ray geometry degenerates; loss evaluation floors heights at this value.
@@ -58,8 +63,13 @@ class PathLossParams:
     def __post_init__(self):
         if self.f_c <= 0 or self.h_e <= 0 or self.d_0 <= 0:
             raise ValueError("f_c, h_e, d_0 must be positive")
-        if self.sigma_los < 0 or self.sigma_nlos < 0:
-            raise ValueError("shadowing std must be non-negative")
+        if self.f_c < MIN_CARRIER_HZ or self.h_e > MAX_DUCT_HEIGHT_M:
+            raise ValueError(f"need f_c >= {MIN_CARRIER_HZ:g} Hz and "
+                             f"h_e <= {MAX_DUCT_HEIGHT_M:g} m")
+        if not (0 <= self.sigma_los <= MAX_SHADOWING_DB
+                and 0 <= self.sigma_nlos <= MAX_SHADOWING_DB):
+            raise ValueError("sigma_los and sigma_nlos must lie in "
+                             f"[0, {MAX_SHADOWING_DB:g}] dB")
         if max(abs(self.G_t), abs(self.G_r)) > MAX_ANTENNA_GAIN_DB:
             raise ValueError("antenna gains must be within "
                              f"+/-{MAX_ANTENNA_GAIN_DB:g} dB")
@@ -140,7 +150,7 @@ def synthesize_direct_channel(iots: FloatingNode, rx: FloatingNode,
                               wave: WaveField, t: float, los, M: int,
                               p: PathLossParams, xi, nlos_phase) -> np.ndarray:
     """Direct IoT->receiver channel rows for one coherence interval: (I, M)
-    for a batch node of I IoTs, (M,) for a single one.
+    for a batch node of I IoTs.
 
     `los` holds the links' sea_surface.los_state at time t; `xi` and
     `nlos_phase` are draw_link_fading's direct shadowing and NLoS phases.

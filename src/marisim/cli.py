@@ -45,6 +45,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--var", required=True, choices=SWEEP_VARIABLES)
     sweep.add_argument("--values", required=True,
                        help="comma-separated sweep values")
+    sweep.add_argument("--states", help="comma-separated sea states to cross "
+                       "the values with (default: the scenario's)")
     sweep.add_argument("--trials", type=int, default=100)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--out", default=None, help="output path (default stdout)")
@@ -96,10 +98,13 @@ def _write_output(blocks, out) -> None:
 
 def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
     values = _parse_values(args.values)
+    states = (None if args.states is None
+              else _parse_values(args.states, sea_level, "sea state"))
     if args.seed is not None and args.seed < 0:
         raise ConfigError("seed must be non-negative")
     rows = harness.run_sweep(cfg, args.var, values, args.trials,
-                             seed=args.seed, n_jobs=args.jobs,
+                             seed=args.seed, sea_states=states,
+                             n_jobs=args.jobs,
                              flush_path=args.out, flush_format=args.format)
     _write_output(harness.format_results(rows, args.format), args.out)
     return 0

@@ -41,12 +41,15 @@ def sea_level(value) -> int:
 
 
 # Caps that no physical scenario reaches.  A larger count would exhaust
-# memory and a larger length would overflow the channel phases before an
-# interval ends, so the loader and the sweep values reject them.
+# memory, a larger length would overflow the channel phases and a larger
+# noise power (thermal noise over 1 Hz is -204 dBW) would overflow its
+# conversion to watts before an interval ends, so the loader and the sweep
+# values reject them.
 MAX_ELEMENTS = 10_000          # RIS elements, and pilot sub-frames
 MAX_ANTENNAS = 64              # receiver antennas
 MAX_MEAN_IOTS = 10_000         # mean IoT count, and pilot length
 MAX_LENGTH_M = 100_000.0       # every geometry length and coordinate
+MAX_NOISE_DBW = 300.0          # |sigma2_dbw|
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,9 @@ class RadioConfig:
             raise ConfigError(f"n_elements must lie in [1, {MAX_ELEMENTS}]")
         if not self.beta_hz > 0:
             raise ConfigError("beta_hz must be positive")
+        if not abs(self.sigma2_dbw) <= MAX_NOISE_DBW:
+            raise ConfigError("sigma2_dbw must lie within "
+                              f"+/-{MAX_NOISE_DBW:g} dBW")
 
     @property
     def sigma2_w(self) -> float:

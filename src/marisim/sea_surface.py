@@ -270,17 +270,15 @@ def _los_mask(d, side_t, side_r, wave, t, off_t, off_r, f, bits):
 
 
 def los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField, t):
-    """True when the direct Tx-Rx ray clears both nearest wave crests; an
-    (I,) bool array when tx or rx is a batch of I buoys."""
+    """Bool array, True where the direct Tx-Rx ray clears both nearest wave
+    crests: (I,) when tx or rx is a batch of I buoys, 0-d for two single
+    buoys."""
     d = _link_distance(tx, rx)
     shape = np.broadcast(t, d).shape
     if wave.a == 0:
-        mask = np.ones(shape, dtype=bool)
-    else:
-        mask = _los_mask(d, _side(tx, rx, wave), _side(rx, tx, wave), wave,
-                         t, 0.0, 0.0, _scratch(6, shape),
-                         _scratch(2, shape, bool))
-    return bool(mask) if mask.ndim == 0 else mask
+        return np.ones(shape, dtype=bool)
+    return _los_mask(d, _side(tx, rx, wave), _side(rx, tx, wave), wave, t,
+                     0.0, 0.0, _scratch(6, shape), _scratch(2, shape, bool))
 
 
 def los_probability(state: SeaState, tx: FloatingNode, rx: FloatingNode,

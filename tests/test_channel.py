@@ -229,13 +229,14 @@ def test_batch_synthesis_equals_one_iot_calls():
     rows = synthesize_direct_channel(iots, rx, wave, 1.5, flags, 4, P, xi, phase)
     h_r = ris_incident_vector(iots, ris, wave, 1.5, P, xi_r)
     for i in range(3):
-        one = FloatingNode(tuple(iots.position[i]), iots.mast_height)
-        row = synthesize_direct_channel(one, rx, wave, 1.5, flags[i], 4, P,
-                                        xi[i], phase[i])
-        assert row.shape == (4,)
-        assert rows[i] == pytest.approx(row, rel=1e-12)
+        k = slice(i, i + 1)              # a batch of one buoy
+        one = FloatingNode(iots.position[k], iots.mast_height)
+        row = synthesize_direct_channel(one, rx, wave, 1.5, flags[k], 4, P,
+                                        xi[k], phase[k])
+        assert row.shape == (1, 4)
+        assert rows[i] == pytest.approx(row[0], rel=1e-12)
         assert h_r[i] == pytest.approx(
-            ris_incident_vector(one, ris, wave, 1.5, P, xi_r[i]), rel=1e-12)
+            ris_incident_vector(one, ris, wave, 1.5, P, xi_r[k])[0], rel=1e-12)
 
 
 def test_cascade_is_elementwise_row_scaling():

@@ -14,6 +14,7 @@ import pytest
 import marisim
 from marisim import cli, harness, sea_surface
 from marisim.cli import MAX_PATHLOSS_POINTS, main
+from marisim.config import load_config
 from marisim.harness import RESULT_COLUMNS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -118,6 +119,23 @@ def test_n_sweep_that_revisits_a_size_is_identical_across_jobs(tiny_ini,
     assert [float(r["value"]) for r in rows] == [8, 16, 8]
 
 
+def test_sweep_states_cross_the_values(tiny_ini, tmp_path):
+    texts = {}
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.csv"
+        assert main(["sweep", "--config", tiny_ini, "--var", "pmax",
+                     "--values", "10,20", "--states", "2,5", "--trials", "1",
+                     "--seed", "6", "--jobs", jobs, "--out", str(path)]) == 0
+        texts[jobs] = path.read_bytes()
+    assert texts["1"] == texts["2"]
+    rows = harness.run_sweep(load_config(tiny_ini), "pmax", [10.0, 20.0], 1,
+                             seed=6, sea_states=[2, 5])
+    assert texts["1"] == "".join(harness.format_results(rows)).encode()
+    assert [(float(r["value"]), int(r["sea_state"]))
+            for r in read_csv(tmp_path / "jobs1.csv")] == [
+        (10, 2), (10, 5), (20, 2), (20, 5)]
+
+
 def test_los_prob_table(tmp_path, capsys):
     out = tmp_path / "los.csv"
     assert main(["los-prob", "--states", "3,7", "--heights", "2,30",
@@ -188,6 +206,9 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["pathloss", "--d-max", "inf"],
     ["pathloss", "--points", "100000000000"],         # a 745 GiB linspace
     ["pathloss", "--points", str(MAX_PATHLOSS_POINTS + 1)],
+    ["sweep", "--var", "hr0", "--values", "5", "--states", "1"],
+    ["sweep", "--var", "hr0", "--values", "5", "--states", "3.5"],
+    ["sweep", "--var", "sea", "--values", "4", "--states", "5"],  # sets its own
 ])
 def test_usage_and_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -229,6 +250,13 @@ def test_exclusions_covering_the_deploy_disk_exit_1(tmp_path, capsys):
     ("geometry", "buoy_distance_m = 1e300"),      # channel phases overflow
     ("geometry", "deploy_radius_m = 1e300"),
     ("geometry", "buoy_distance_m = 1e-300"),     # inside the turbine hull
+    # radio magnitudes past their bounds: conversions and amplitudes overflow
+    ("radio", "sigma2_dbw = 1e300"),
+    ("radio", "sigma2_dbw = -1e300"),
+    ("radio", "sigma2_w = 1e300"),
+    ("radio", "f_c_hz = 1e-300"),
+    ("radio", "h_e_m = 1e300"),
+    ("radio", "sigma_los_db = 1e300"),
 ])
 def test_non_finite_config_values_exit_1(section, line, tmp_path, capsys):
     # the line replaces any line of TINY_INI that sets the same key

@@ -8,13 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from marisim.channel import db2pow, pow2db
+from marisim.channel import (
+    MAX_DUCT_HEIGHT_M,
+    MAX_SHADOWING_DB,
+    MIN_CARRIER_HZ,
+    PathLossParams,
+    db2pow,
+    pow2db,
+)
 from marisim.config import (
     _SCHEMA,
     MAX_ANTENNAS,
     MAX_ELEMENTS,
     MAX_LENGTH_M,
     MAX_MEAN_IOTS,
+    MAX_NOISE_DBW,
     ConfigError,
     EstimationConfig,
     GeometryConfig,
@@ -88,6 +96,13 @@ def test_scenario_validation():
     (EstimationConfig, "t_pilot_len", MAX_MEAN_IOTS, MAX_MEAN_IOTS + 1),
     (OptimizerConfig, "randomization_draws", MAX_RANDOMIZATION_DRAWS,
      MAX_RANDOMIZATION_DRAWS + 1),
+    # radio magnitudes, past which a conversion, amplitude or phase overflows
+    (RadioConfig, "sigma2_dbw", MAX_NOISE_DBW, MAX_NOISE_DBW * 1.001),
+    (RadioConfig, "sigma2_dbw", -MAX_NOISE_DBW, -MAX_NOISE_DBW * 1.001),
+    (PathLossParams, "f_c", MIN_CARRIER_HZ, MIN_CARRIER_HZ * 0.999),  # a floor
+    (PathLossParams, "h_e", MAX_DUCT_HEIGHT_M, MAX_DUCT_HEIGHT_M * 1.001),
+    (PathLossParams, "sigma_los", MAX_SHADOWING_DB, MAX_SHADOWING_DB * 1.001),
+    (PathLossParams, "sigma_nlos", MAX_SHADOWING_DB, MAX_SHADOWING_DB * 1.001),
 ])
 def test_counts_and_lengths_are_capped(build, field, cap, above):
     # only the configs are built: nothing is allocated at these sizes
@@ -214,11 +229,13 @@ def test_configs_are_immutable():
 
 
 def test_readme_scenario_loads(tmp_path):
-    [block] = re.findall(r"```ini\n(.*?)```", README.read_text(), re.DOTALL)
-    path = tmp_path / "readme.ini"
-    path.write_text(block)
-    cfg = load_config(path)
-    assert cfg.sea_state == 5 and cfg.energy.P_max == 50.0
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.DOTALL)
+    cfgs = []
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"readme{k}.ini"
+        path.write_text(block)
+        cfgs.append(load_config(path))
+    assert cfgs[0].sea_state == 5 and cfgs[0].energy.P_max == 50.0
 
 
 # small scenario the schema property runs one interval of
@@ -248,7 +265,8 @@ def test_every_accepted_value_runs_to_a_finite_record(section, key, tmp_path):
     # any config the loader accepts either finishes an interval with finite
     # rates and powers or raises ConfigError; never a silent NaN
     kind, path = _SCHEMA[section][key]
-    for raw in ("nan", "inf", "-inf", "0", "-1", typical_value(kind, path)):
+    for raw in ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300",
+                typical_value(kind, path)):
         sections: dict = {}
         for (sec, k), v in {**BASE, (section, key): raw}.items():
             sections.setdefault(sec, []).append(f"{k} = {v}\n")

@@ -163,7 +163,8 @@ def test_flat_sea_is_always_line_of_sight():
     flat = WaveField(a=0.0, l=100.0, T_wave=10.0)
     tx = FloatingNode((50.0, 0.0), 2.0)
     rx = FloatingNode((250.0, 0.0), 5.0)
-    assert los_state(tx, rx, flat, 3.7) is True
+    flag = los_state(tx, rx, flat, 3.7)
+    assert flag.shape == () and flag.dtype == bool and flag
     batch = FloatingNode(np.array([[50.0, 0.0], [0.0, 80.0], [-30.0, -40.0]]),
                          2.0)
     flags = los_state(batch, rx, flat, 3.7)
@@ -188,8 +189,8 @@ def test_batch_los_state_equals_single_calls(level):
     for t in (0.0, 4.2):
         flags = los_state(FloatingNode(pos, 2.0), rx, wave, t)
         assert flags.shape == (64,) and flags.dtype == bool
-        assert flags.tolist() == [los_state(FloatingNode(tuple(xy), 2.0), rx,
-                                            wave, t) for xy in pos]
+        assert flags.tolist() == [bool(los_state(FloatingNode(tuple(xy), 2.0),
+                                                 rx, wave, t)) for xy in pos]
 
 
 def test_los_probability_bounds_and_determinism():
@@ -382,10 +383,10 @@ def oracle_los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):
 
 def oracle_los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField,
                      t):
-    """True when the direct Tx-Rx ray clears both nearest wave crests; an
-    (I,) bool array when tx or rx is a batch of I buoys."""
-    mask = oracle_los_mask(tx, rx, wave, t)
-    return bool(mask) if mask.ndim == 0 else np.array(mask)
+    """Bool array, True where the direct Tx-Rx ray clears both nearest wave
+    crests: (I,) when tx or rx is a batch of I buoys, 0-d for two single
+    buoys."""
+    return np.array(oracle_los_mask(tx, rx, wave, t))
 
 
 def oracle_los_probability(state: SeaState, tx: FloatingNode,

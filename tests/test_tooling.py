@@ -1,17 +1,19 @@
-"""The benchmark's hooks and the experiment script, run against the package:
-a renamed function fails here rather than only in a traced benchmark run."""
+"""The benchmark's hooks and the README's experiment commands, run against
+the package: a renamed function or option fails here rather than only in a
+traced benchmark run or a user's shell."""
 
 import csv
 import importlib
-import importlib.util
 import pathlib
 import pkgutil
+import re
+import shlex
 
 import numpy as np
 import pytest
 
 import marisim
-from marisim import estimation, harness
+from marisim import cli, estimation, harness
 from marisim.config import GeometryConfig, RadioConfig, ScenarioConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -51,19 +53,34 @@ def test_every_capture_hook_resolves_to_a_callable(bench):
     assert all(callable(value) for _, _, value in hooked), hooked
 
 
-def test_rate_sweeps_script_writes_one_row_per_cell(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "rate_sweeps", ROOT / "scripts" / "rate_sweeps.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--scale", "quick", "--which", "pmax", "--trials", "1",
-                        "--out-dir", str(tmp_path)]) == 0
-    with open(tmp_path / "rates_pmax.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 8            # 4 power caps x 2 sea states
-    assert {(float(r["value"]), int(r["sea_state"])) for r in rows} == {
-        (v, s) for v in (10.0, 20.0, 50.0, 100.0) for s in (2, 5)}
-    assert all(r["trials"] == "1" for r in rows)
+def test_readme_experiment_commands_write_each_grid(tmp_path):
+    """The README's paper experiments, run as documented at one trial each:
+    every sweep writes one row per (value, sea state) of its options."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Paper experiments")[1].split("\n## ")[0]
+    ini = tmp_path / "quick.ini"
+    ini.write_text(re.search(r"```ini\n(.*?)```", section, re.DOTALL)[1])
+    commands = [shlex.split(line) for line in section.replace("\\\n", " ")
+                .splitlines() if line.startswith("marisim sweep")]
+    grids = {}
+    for command in commands:
+        opts = dict(zip(command[2::2], command[3::2]))
+        assert opts["--config"] == "quick.ini"
+        out = tmp_path / opts["--out"]
+        opts.update({"--config": str(ini), "--trials": "1", "--out": str(out)})
+        assert cli.main(["sweep", *(x for kv in opts.items() for x in kv)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        grid = [(float(r["value"]), int(r["sea_state"])) for r in rows]
+        assert grid == [(float(v), int(s)) for v in opts["--values"].split(",")
+                        for s in opts["--states"].split(",")]
+        assert all(r["sweep_var"] == opts["--var"] and r["trials"] == "1"
+                   for r in rows)
+        grids[opts["--var"]] = grid
+    assert set(grids) == {"hr0", "n", "pmax"}
+    assert len(grids["hr0"]) == 20 and len(grids["n"]) == 4
+    assert set(grids["pmax"]) == {(v, s) for v in (10.0, 20.0, 50.0, 100.0)
+                                  for s in (2, 5)}
 
 
 def test_one_interval_sounds_the_schedule_once_and_estimates_once(monkeypatch):
