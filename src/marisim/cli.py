@@ -97,7 +97,7 @@ def _write_output(blocks, out) -> None:
 
 
 def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
-    values = _parse_values(args.values)
+    values = _parse_values(args.values, SWEEP_VARIABLES[args.var][0])
     states = (None if args.states is None
               else _parse_values(args.states, sea_level, "sea state"))
     if args.seed is not None and args.seed < 0:
@@ -250,6 +250,20 @@ def _check_los_table_determinism():
     assert texts[0] == texts[1], "table differs from the serial cells"
 
 
+def _check_table_emission_determinism():
+    # enough blocks that the emitter splits them across helper processes
+    # wherever it can, the last one a helper's on two processes, against the
+    # same table formatted in this process
+    n = (2 * harness.BLOCKS_PER_PROCESS + 1) * harness.ROWS_PER_BLOCK + 7
+    x = np.random.default_rng(4).standard_normal(n)
+    x[::5], x[1::7], x[2::11] = math.nan, math.inf, -math.inf
+    table = {"k": np.arange(n), "s": ["hr0"] * n, "x": x, "y": x.tolist()}
+    for structured in (False, True):
+        split, inline = ("".join(harness._blocks(table, structured, width))
+                         for width in (None, 1))
+        assert split == inline, f"structured={structured} text differs"
+
+
 _CHECKS = (
     ("estimation exact recovery", _check_estimation_exact),
     ("SDP hand instance", _check_sdp_hand_instance),
@@ -258,6 +272,7 @@ _CHECKS = (
     ("path-loss ordering", _check_pathloss_ordering),
     ("sweep determinism", _check_sweep_determinism),
     ("LoS table determinism", _check_los_table_determinism),
+    ("table emission determinism", _check_table_emission_determinism),
 )
 
 

@@ -6,8 +6,11 @@ emission.
 Every table is a mapping from column name to an equal-length column, and
 one emitter, format_table, renders it as CSV or JSON in blocks of rows,
 formatting each block's slice of every column once; write_blocks writes the
-blocks as they arrive.  Sweep rows are transposed into that form only where
-they are written.
+blocks as they arrive.  A block's text depends only on its own rows, so a
+table of many blocks is formatted on up to one process per CPU: forked
+helpers format every width-th block and send it back over a pipe, and the
+blocks are yielded in order, with the same bytes for any CPU count.  Sweep
+rows are transposed into that form only where they are written.
 
 Determinism contract: every trial owns an RNG stream seeded by the integer
 triple (seed, cell index, trial index), trials are collected in index order
@@ -19,11 +22,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import multiprocessing
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +110,24 @@ def deploy_iots(mean_count: float, radius: float, center, rng,
     return positions
 
 
+# Elements any one array of an interval may hold; at this cap a complex array
+# takes 268 MB.  The config caps bound each count alone, but the largest
+# arrays grow with products of counts, the drawn IoT count among them.
+MAX_INTERVAL_ELEMENTS = 2 ** 24
+
+
+def _check_interval_size(count: int, T: int, B: int, M: int) -> None:
+    """Raise ConfigError before an interval of count IoTs, pilot length T,
+    B sub-frames and M antennas allocates an array past
+    MAX_INTERVAL_ELEMENTS."""
+    for what, size in (("pilot book", T * count),
+                       ("sounding blocks", (B + 2) * T * M),
+                       ("solver's Schur test", (count * M) ** 2)):
+        if size > MAX_INTERVAL_ELEMENTS:
+            raise ConfigError(f"{count} IoTs need a {size}-element {what}, "
+                              f"over the {MAX_INTERVAL_ELEMENTS} cap")
+
+
 def _exclusion_zones(cfg: ScenarioConfig):
     # keep IoTs off the turbine hull and outside the NLoS reference distance
     # of the receiver (the path-loss model is undefined closer in)
@@ -150,6 +173,8 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
                             cfg.geometry.turbine_position, rng,
                             exclusions=_exclusion_zones(cfg))
     count = len(positions)
+    T = max(cfg.t_baseline, count)
+    _check_interval_size(count, T, B, cfg.radio.m_antennas)
     batch = FloatingNode(position=positions, mast_height=cfg.geometry.iot_mast_m)
 
     P_e = energy.harvested_power(wave.a, wave.T_wave, cfg.energy)
@@ -157,7 +182,6 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     powers = np.full(count, P_tx)
     flags = sea_surface.los_state(batch, rx, wave, t)
 
-    T = max(cfg.t_baseline, count)
     slots = cfg.radio.beta_hz * cfg.interval_duration_s
     overhead = max(0.0, 1.0 - estimation.pilot_overhead_symbols(B, T) / slots)
 
@@ -354,14 +378,30 @@ def format_table(table, fmt: str = "csv"):
     both formats are built from the same cells.  No cell marisim emits
     holds a comma, a quote or a newline, so joining the cells gives
     csv.writer's bytes; the JSON is json.dumps(rows, indent=2)'s.  The
-    format is checked here, before any block is produced.
+    format is checked here, before any block is produced.  A table of many
+    blocks is formatted on up to one process per CPU (see _block_texts),
+    with the same bytes.
     """
     if fmt not in ("csv", "structured"):
         raise ConfigError(f"unknown output format {fmt!r}")
     return _blocks(table, fmt == "structured")
 
 
-def _blocks(table, structured: bool):
+# Blocks each process formats, at least, before a table's blocks are split
+# across helper processes: a shorter table costs more to fork than to format.
+BLOCKS_PER_PROCESS = 4
+
+
+def _block_text(columns, structured: bool, join_row, sep: str, b: int) -> str:
+    """Text of block b's rows, without the lead that joins it to the text
+    before it; depends only on block b's slice of the columns."""
+    start = b * ROWS_PER_BLOCK
+    cells = [_cells(col[start:start + ROWS_PER_BLOCK], structured)
+             for col in columns]
+    return sep.join(map(join_row, zip(*cells)))
+
+
+def _blocks(table, structured: bool, width=None):
     columns = list(table.values())
     n_rows = min(map(len, columns), default=0)
     if structured:
@@ -373,12 +413,84 @@ def _blocks(table, structured: bool):
         join_row = ",".join
         lead, sep = ",".join(table) + "\n", "\n"
         end = "\n" if n_rows else lead
-    for start in range(0, n_rows, ROWS_PER_BLOCK):
-        cells = [_cells(col[start:start + ROWS_PER_BLOCK], structured)
-                 for col in columns]
-        yield lead + sep.join(map(join_row, zip(*cells)))
-        lead = sep
+    text = functools.partial(_block_text, columns, structured, join_row, sep)
+    with _block_texts(text, -(-n_rows // ROWS_PER_BLOCK), width) as texts:
+        for body in texts:
+            yield lead + body
+            lead = sep
     yield end
+
+
+def _helper_width(n_blocks: int) -> int:
+    """Processes to format n_blocks blocks on: one per BLOCKS_PER_PROCESS
+    blocks and per CPU, where helpers can be forked safely (the start
+    method is fork and no other thread is alive), else 1."""
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    if method != "fork" or threading.active_count() > 1:
+        return 1
+    return _pool_size(n_blocks // BLOCKS_PER_PROCESS)
+
+
+def _send_texts(text, blocks, conn) -> None:
+    """A helper's work: the text of each of its blocks, sent in order."""
+    for b in blocks:
+        conn.send(text(b))
+    conn.close()
+
+
+@contextlib.contextmanager
+def _block_texts(text, n_blocks: int, width=None):
+    """Iterator over text(b) for b in range(n_blocks), in order, on width
+    processes (default _helper_width(n_blocks)).
+
+    Helper w of width - 1 forked helpers formats the blocks b = w mod width
+    and sends each over its own one-way pipe; this process formats the
+    blocks b = 0 mod width and receives the others as they are due, so it
+    holds at most one received block per helper, and a full pipe blocks its
+    helper.  The helpers are killed and joined on every exit; one that
+    ends before its blocks are sent raises RuntimeError."""
+    if width is None:
+        width = _helper_width(n_blocks)
+    if width <= 1:
+        yield map(text, range(n_blocks))
+        return
+    fork = multiprocessing.get_context("fork")
+    helpers, readers = [], []
+    try:
+        for w in range(1, width):
+            reader, writer = fork.Pipe(duplex=False)
+            readers.append(reader)
+            helper = fork.Process(target=_send_texts, daemon=True,
+                                  args=(text, range(w, n_blocks, width),
+                                        writer))
+            helper.start()
+            helpers.append(helper)
+            writer.close()   # the helper holds the only writing end
+        yield _merged_texts(text, n_blocks, readers)
+    finally:
+        for helper in helpers:
+            helper.kill()   # a formatter holds nothing to clean up
+        for helper in helpers:
+            helper.join()
+            helper.close()
+        for reader in readers:
+            reader.close()
+
+
+def _merged_texts(text, n_blocks: int, readers):
+    width = len(readers) + 1
+    for b in range(n_blocks):
+        w = b % width
+        if w == 0:
+            yield text(b)
+            continue
+        try:
+            body = readers[w - 1].recv()
+        except (EOFError, OSError):   # OSError: cut off inside a block
+            raise RuntimeError(f"table helper {w} ended before sending "
+                               f"block {b} of {n_blocks}") from None
+        yield body
 
 
 def format_results(rows, fmt: str = "csv"):

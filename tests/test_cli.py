@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -56,8 +57,8 @@ def tiny_ini(tmp_path):
 def test_validate_runs_builtin_checks(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok - ") == 7
-    assert "all 7 checks passed" in out
+    assert out.count("ok - ") == 8
+    assert "all 8 checks passed" in out
     assert "ok - LoS table determinism" in out
 
 
@@ -136,6 +137,16 @@ def test_sweep_states_cross_the_values(tiny_ini, tmp_path):
         (10, 2), (10, 5), (20, 2), (20, 5)]
 
 
+def test_sweep_values_are_written_as_their_variable_parses_them(tiny_ini,
+                                                                capsys):
+    for var, value, cell in (("n", "8", "8"), ("sea", "4", "4"),
+                             ("hr0", "5", "5.0"), ("pmax", "20", "20.0")):
+        assert main(["sweep", "--config", tiny_ini, "--var", var,
+                     "--values", value, "--trials", "1", "--seed", "2"]) == 0
+        [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["value"] == cell, var
+
+
 def test_los_prob_table(tmp_path, capsys):
     out = tmp_path / "los.csv"
     assert main(["los-prob", "--states", "3,7", "--heights", "2,30",
@@ -209,6 +220,7 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["sweep", "--var", "hr0", "--values", "5", "--states", "1"],
     ["sweep", "--var", "hr0", "--values", "5", "--states", "3.5"],
     ["sweep", "--var", "sea", "--values", "4", "--states", "5"],  # sets its own
+    ["sweep", "--var", "n", "--values", "40.5"],      # not an element count
 ])
 def test_usage_and_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -271,6 +283,28 @@ def test_non_finite_config_values_exit_1(section, line, tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--var", "hr0",
                  "--values", "5", "--trials", "1", "--seed", "1"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_interval_past_the_memory_cap_exits_1(tmp_path):
+    # about 10 000 IoTs on the tiny scenario need a 1.7 GB pilot book; the
+    # child's address space is capped at 1 GiB, so a missing check fails
+    # on the allocation instead of making it
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "crowded.ini"
+    path.write_text(TINY_INI.replace("mean_iot_count = 2",
+                                     "mean_iot_count = 10000"))
+    cmd, env = console_script_argv()
+    env = dict(env or os.environ, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    limit = 1 << 30
+    proc = subprocess.run(
+        [*cmd, "sweep", "--config", str(path), "--var", "hr0",
+         "--values", "5", "--trials", "1"],
+        capture_output=True, text=True, timeout=120, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 1, proc.stderr
+    assert "pilot book, over the" in proc.stderr
 
 
 def test_invalid_sweep_value_exits_1_before_any_interval(tiny_ini, tmp_path,

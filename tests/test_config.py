@@ -245,6 +245,7 @@ BASE = {("radio", "n_elements"): "8", ("radio", "m_antennas"): "2",
         ("optimizer", "randomization_draws"): "5"}
 NUMERIC_KEYS = [(section, key) for section, keys in _SCHEMA.items()
                 for key, (kind, _) in keys.items() if kind is not bool]
+INTERVAL_SEEDS = 8
 # maps each unit conversion to its inverse, to write a default in key units
 TO_KEY_UNITS = {db2pow: pow2db, pow2db: db2pow}
 
@@ -274,10 +275,18 @@ def test_every_accepted_value_runs_to_a_finite_record(section, key, tmp_path):
         ini.write_text("".join(f"[{sec}]\n" + "".join(lines)
                                for sec, lines in sections.items()))
         try:
-            rec = run_coherence_interval(load_config(ini), 0,
-                                         np.random.default_rng(0))
+            cfg = load_config(ini)
         except ConfigError:
             continue
-        fields = (rec.c_ris, rec.c_noris, rec.rate_ris, rec.rate_noris,
-                  rec.tx_power_w)
-        assert all(math.isfinite(f) for f in fields), (key, raw, fields)
+        # several interval draws, so an overflow that needs a rare draw
+        # (a close IoT, a deep fade) shows
+        for seed in range(INTERVAL_SEEDS):
+            try:
+                rec = run_coherence_interval(cfg, 0,
+                                             np.random.default_rng(seed))
+            except ConfigError:
+                continue
+            fields = (rec.c_ris, rec.c_noris, rec.rate_ris, rec.rate_noris,
+                      rec.tx_power_w)
+            assert all(math.isfinite(f) for f in fields), (key, raw, seed,
+                                                           fields)

@@ -9,6 +9,9 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -341,6 +344,152 @@ def test_format_table_memory_stays_at_one_block():
         finally:
             tracemalloc.stop()
         assert peak < length / 4, (fmt, peak, length)
+
+
+FORKS = (multiprocessing.get_start_method(allow_none=True)
+         or multiprocessing.get_all_start_methods()[0]) == "fork"
+needs_fork = pytest.mark.skipif(not FORKS, reason="table helpers are forked")
+
+
+def mixed_table(n_blocks: int) -> dict:
+    """int, str and float columns, with nan and +-inf, over n_blocks blocks
+    of which the last is short."""
+    n = (n_blocks - 1) * harness.ROWS_PER_BLOCK + 5
+    x = np.random.default_rng(8).standard_normal(n) * 1e3
+    x[::5], x[1::7], x[2::11] = math.nan, math.inf, -math.inf
+    return {"sweep_var": ["hr0", "n", "sea"] * (n // 3) + ["pmax"] * (n % 3),
+            "count": list(range(-n // 2, n - n // 2)),
+            "x": x, "y": x[::-1].tolist(), "level": np.arange(n) % 9}
+
+
+def started_blocks(table, fmt="csv"):
+    """The table's block generator after its first block, with its helper
+    processes running."""
+    blocks = format_table(table, fmt)
+    first = next(blocks)
+    assert multiprocessing.active_children(), "no helper was started"
+    return first, blocks
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_table_is_byte_identical_to_inline(cpus, monkeypatch):
+    monkeypatch.setattr(harness, "ROWS_PER_BLOCK", 64)
+    table = mixed_table(4 * harness.BLOCKS_PER_PROCESS + 2)   # ends on helpers
+    for fmt in ("csv", "structured"):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        inline = list(format_table(table, fmt))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        first, rest = started_blocks(table, fmt)
+        assert [first, *rest] == inline
+        assert multiprocessing.active_children() == []
+    assert "".join(inline) == json.dumps(
+        [dict(zip(table, row)) for row in zip(*(
+            v.tolist() if isinstance(v, np.ndarray) else v
+            for v in table.values()))], indent=2) + "\n"
+
+
+@needs_fork
+def test_helpers_start_only_under_fork_with_no_other_thread(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    table = mixed_table(3 * harness.BLOCKS_PER_PROCESS)
+    inline = "".join(harness._blocks(table, False, width=1))
+
+    def inline_blocks():
+        blocks = format_table(table)
+        first = next(blocks)
+        assert multiprocessing.active_children() == []
+        return first + "".join(blocks)
+
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, daemon=True)
+    waiter.start()
+    try:
+        assert inline_blocks() == inline
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    monkeypatch.setattr(multiprocessing, "get_start_method",
+                        lambda allow_none=False: "spawn")
+    assert inline_blocks() == inline
+
+
+@needs_fork
+def test_pathloss_stdout_equals_out_file_and_inline(tmp_path, monkeypatch):
+    # run as a program, so stdout is a real file the helpers inherit
+    argv = ["pathloss", "--points", "100000"]
+    out = tmp_path / "pathloss.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(harness.__file__)),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    with open(tmp_path / "stdout.csv", "wb") as fh:
+        subprocess.run([sys.executable, "-m", "marisim.cli", *argv],
+                       stdout=fh, env=env, check=True, timeout=120)
+    subprocess.run([sys.executable, "-m", "marisim.cli", *argv, "--out",
+                    str(out)], env=env, check=True, timeout=120)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    table = pathloss_table(ScenarioConfig(),
+                           np.linspace(50.0, 2000.0, 100_000))
+    inline = "".join(format_table(table)).encode()
+    assert (tmp_path / "stdout.csv").read_bytes() == out.read_bytes() == inline
+
+
+@needs_fork
+def test_closing_blocks_early_stops_every_helper(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _, blocks = started_blocks(mixed_table(3 * harness.BLOCKS_PER_PROCESS))
+    blocks.close()
+    assert multiprocessing.active_children() == []
+    if os.path.exists("/dev/full"):   # a write error mid-table
+        assert cli.main(["pathloss", "--points", "100000",
+                         "--out", "/dev/full"]) == 1
+        assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_dead_helper_raises_and_never_truncates_silently(monkeypatch, capsys,
+                                                         tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # each block outgrows a pipe's buffer, so the helper still waits to
+    # send its first block when it is killed
+    _, blocks = started_blocks(mixed_table(3 * harness.BLOCKS_PER_PROCESS))
+    [helper] = multiprocessing.active_children()
+    os.kill(helper.pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match="table helper 1 ended"):
+        list(blocks)
+    assert multiprocessing.active_children() == []
+    # a helper that fails at once: exit 2 with the reason, through the CLI
+    monkeypatch.setattr(harness, "_send_texts", lambda *args: os._exit(3))
+    out = tmp_path / "pathloss.csv"
+    assert cli.main(["pathloss", "--points", "100000",
+                     "--out", str(out)]) == 2
+    assert "table helper 1 ended before sending block 1" in (
+        capsys.readouterr().err)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("count, T, B, M, what", [
+    (10, 11, 7, 1, "pilot book"),        # 110, 99, 100
+    (1, 10, 9, 1, "sounding blocks"),    # 10, 110, 1
+    (6, 6, 0, 2, "Schur test"),          # 36, 24, 144
+])
+def test_interval_size_is_checked_at_its_cap(count, T, B, M, what,
+                                             monkeypatch):
+    monkeypatch.setattr(harness, "MAX_INTERVAL_ELEMENTS", 100)
+    harness._check_interval_size(count=10, T=10, B=8, M=1)   # all at 100
+    harness._check_interval_size(count=5, T=5, B=0, M=2)     # Schur 100
+    with pytest.raises(ConfigError, match=what):
+        harness._check_interval_size(count=count, T=T, B=B, M=M)
+
+
+def test_interval_past_the_size_cap_raises_before_allocating(monkeypatch):
+    # about 10 000 IoTs: a 1e8-element pilot book and a (2e4)^2 Schur test
+    monkeypatch.setattr(harness.estimation, "make_orthogonal_pilots",
+                        lambda *args: pytest.fail("allocated the pilots"))
+    with pytest.raises(ConfigError, match="pilot book, over the 16777216"):
+        run_coherence_interval(small_cfg(mean_iots=10_000.0), 0,
+                               np.random.default_rng(0))
 
 
 def test_los_probability_table_shape_and_range():
