@@ -6,15 +6,18 @@ emission.
 Every table is a mapping from column name to an equal-length column, and
 one emitter, format_table, renders it as CSV or JSON in blocks of rows,
 formatting each block's slice of every column once; write_blocks writes the
-blocks as they arrive.  A block's text depends only on its own rows, so a
-table of many blocks is formatted on up to one process per CPU: forked
-helpers format every width-th block and send it back over a pipe, and the
-blocks are yielded in order, with the same bytes for any CPU count.  Sweep
-rows are transposed into that form only where they are written.
+blocks as they arrive.  Sweep rows are transposed into that form only where
+they are written.
+
+One ordered map, _ordered_map, runs every parallel path: a sweep's trials,
+the LoS table's cells and a long table's blocks.  Forked helpers compute
+every width-th item and send each result back over a pipe, and the results
+come back in item order.  One gate, _map_width, sizes it for all three, and
+keeps it in the calling process where forking is unsafe.
 
 Determinism contract: every trial owns an RNG stream seeded by the integer
 triple (seed, cell index, trial index), trials are collected in index order
-whatever the worker pool does, and aggregation reduces fixed-order arrays,
+whatever the process count, and aggregation reduces fixed-order arrays,
 so identical (config, seed) inputs give byte-identical output files.
 """
 
@@ -237,40 +240,90 @@ def _trial_worker(args) -> TrialRecord:
     return run_coherence_interval(cfg, trial_idx, rng)
 
 
-def _pool_size(*caps: int) -> int:
-    """Workers for a pool: at most one per CPU, and within every cap given
-    (the task count, the jobs asked for)."""
+def _map_width(*caps: int) -> int:
+    """Processes for an ordered map: at most one per CPU and within every
+    cap given, where helpers can be forked safely (the start method is fork
+    and no other thread is alive), else 1."""
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    if method != "fork" or threading.active_count() > 1:
+        return 1
     return min(*caps, os.cpu_count() or 1)
 
 
-@contextlib.contextmanager
-def _trial_records(tasks, n_jobs: int):
-    """Iterator over the records of trial tasks, in task order regardless of
-    n_jobs: in this process for one job, otherwise through one pool of at
-    most one worker per task and per CPU, which is closed on exit."""
-    n_jobs = _pool_size(n_jobs, len(tasks))
-    if n_jobs <= 1:
-        yield map(_trial_worker, tasks)
+def _send_results(fn, items, conn) -> None:
+    """A helper's work: (fn(item), None) for each of its items, sent in
+    order; an exception ends the work and is sent as (None, exception)."""
+    try:
+        for item in items:
+            conn.send((fn(item), None))
+    except Exception as exc:
+        conn.send((None, exc))
+    conn.close()
+
+
+def _ordered_map(fn, items, width: int):
+    """Generator of fn(item) for each of the sequence items, in order, on
+    width processes; map(fn, items) for a width of 1 or less.
+
+    Helper w of width - 1 forked helpers computes the items at the indices
+    b = w mod width and sends each result over its own one-way pipe; this
+    process computes the items b = 0 mod width and receives the others as
+    they fall due, so it holds at most one received result per helper, and
+    a full pipe blocks its helper.  An exception a helper raises is raised
+    here at its item's index.  The helpers are killed and joined when the
+    generator ends or is closed; one that ends before its results are sent
+    raises RuntimeError."""
+    if width <= 1:
+        yield from map(fn, items)
         return
-    # pool.map's default chunk size, so each worker gets about four chunks
-    chunksize = -(-len(tasks) // (4 * n_jobs))
-    with multiprocessing.Pool(n_jobs) as pool:
-        yield pool.imap(_trial_worker, tasks, chunksize)
+    fork = multiprocessing.get_context("fork")
+    helpers, readers = [], []
+    try:
+        for w in range(1, width):
+            reader, writer = fork.Pipe(duplex=False)
+            readers.append(reader)
+            helper = fork.Process(target=_send_results, daemon=True,
+                                  args=(fn, items[w::width], writer))
+            helper.start()
+            helpers.append(helper)
+            writer.close()   # the helper holds the only writing end
+        for b, item in enumerate(items):
+            w = b % width
+            if w == 0:
+                yield fn(item)
+                continue
+            try:
+                result, exc = readers[w - 1].recv()
+            except (EOFError, OSError):   # OSError: cut off inside a result
+                raise RuntimeError(f"helper process {w} ended before sending "
+                                   f"result {b} of {len(items)}") from None
+            if exc is not None:
+                raise exc
+            yield result
+    finally:
+        for helper in helpers:
+            helper.kill()   # pure computation: nothing to clean up
+        for helper in helpers:
+            helper.join()
+            helper.close()
+        for reader in readers:
+            reader.close()
 
 
 def run_cell(cfg: ScenarioConfig, trials: int, seed=None, cell_idx: int = 0,
              n_jobs: int = 1) -> list:
     """All trials of one sweep cell, in trial order regardless of n_jobs.
 
-    The pool gets at most one worker per trial and per CPU, however many
-    jobs are asked for."""
+    The trials run on at most n_jobs processes, one per trial and per CPU
+    (see _map_width)."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if seed is None:
         seed = cfg.seed
     tasks = [(cfg, cell_idx, k, seed) for k in range(trials)]
-    with _trial_records(tasks, n_jobs) as records:
-        return list(records)
+    return list(_ordered_map(_trial_worker, tasks,
+                             _map_width(len(tasks), n_jobs)))
 
 
 def aggregate_cell(records) -> dict:
@@ -295,9 +348,9 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int,
     variable IS the sea state); returns one aggregate row per cell.
 
     Every cell's config is built before any trial runs, so an invalid value
-    raises ConfigError first.  All (cell, trial) tasks then run in order
-    through one pool of at most one worker per task and per CPU.  On a
-    failure inside a trial the completed rows are flushed to flush_path
+    raises ConfigError first.  All (cell, trial) tasks then run through one
+    ordered map on at most n_jobs processes, one per task and per CPU.  On
+    a failure inside a trial the completed rows are flushed to flush_path
     (when given) before the error propagates.
     """
     if variable not in SWEEP_VARIABLES:
@@ -326,9 +379,11 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int,
     tasks = [(cfg_cell, cell_idx, k, seed)
              for cell_idx, cfg_cell in enumerate(cfgs) for k in range(trials)]
 
+    records = _ordered_map(_trial_worker, tasks,
+                           _map_width(len(tasks), n_jobs))
     rows = []
     try:
-        with _trial_records(tasks, n_jobs) as records:
+        with contextlib.closing(records):
             for value, state in cells:
                 cell = list(itertools.islice(records, trials))
                 rows.append({"sweep_var": variable, "value": value,
@@ -379,7 +434,7 @@ def format_table(table, fmt: str = "csv"):
     holds a comma, a quote or a newline, so joining the cells gives
     csv.writer's bytes; the JSON is json.dumps(rows, indent=2)'s.  The
     format is checked here, before any block is produced.  A table of many
-    blocks is formatted on up to one process per CPU (see _block_texts),
+    blocks is formatted on up to one process per CPU (see _ordered_map),
     with the same bytes.
     """
     if fmt not in ("csv", "structured"):
@@ -414,83 +469,15 @@ def _blocks(table, structured: bool, width=None):
         lead, sep = ",".join(table) + "\n", "\n"
         end = "\n" if n_rows else lead
     text = functools.partial(_block_text, columns, structured, join_row, sep)
-    with _block_texts(text, -(-n_rows // ROWS_PER_BLOCK), width) as texts:
+    n_blocks = -(-n_rows // ROWS_PER_BLOCK)
+    if width is None:
+        width = _map_width(n_blocks // BLOCKS_PER_PROCESS)
+    texts = _ordered_map(text, range(n_blocks), width)
+    with contextlib.closing(texts):
         for body in texts:
             yield lead + body
             lead = sep
     yield end
-
-
-def _helper_width(n_blocks: int) -> int:
-    """Processes to format n_blocks blocks on: one per BLOCKS_PER_PROCESS
-    blocks and per CPU, where helpers can be forked safely (the start
-    method is fork and no other thread is alive), else 1."""
-    method = (multiprocessing.get_start_method(allow_none=True)
-              or multiprocessing.get_all_start_methods()[0])
-    if method != "fork" or threading.active_count() > 1:
-        return 1
-    return _pool_size(n_blocks // BLOCKS_PER_PROCESS)
-
-
-def _send_texts(text, blocks, conn) -> None:
-    """A helper's work: the text of each of its blocks, sent in order."""
-    for b in blocks:
-        conn.send(text(b))
-    conn.close()
-
-
-@contextlib.contextmanager
-def _block_texts(text, n_blocks: int, width=None):
-    """Iterator over text(b) for b in range(n_blocks), in order, on width
-    processes (default _helper_width(n_blocks)).
-
-    Helper w of width - 1 forked helpers formats the blocks b = w mod width
-    and sends each over its own one-way pipe; this process formats the
-    blocks b = 0 mod width and receives the others as they are due, so it
-    holds at most one received block per helper, and a full pipe blocks its
-    helper.  The helpers are killed and joined on every exit; one that
-    ends before its blocks are sent raises RuntimeError."""
-    if width is None:
-        width = _helper_width(n_blocks)
-    if width <= 1:
-        yield map(text, range(n_blocks))
-        return
-    fork = multiprocessing.get_context("fork")
-    helpers, readers = [], []
-    try:
-        for w in range(1, width):
-            reader, writer = fork.Pipe(duplex=False)
-            readers.append(reader)
-            helper = fork.Process(target=_send_texts, daemon=True,
-                                  args=(text, range(w, n_blocks, width),
-                                        writer))
-            helper.start()
-            helpers.append(helper)
-            writer.close()   # the helper holds the only writing end
-        yield _merged_texts(text, n_blocks, readers)
-    finally:
-        for helper in helpers:
-            helper.kill()   # a formatter holds nothing to clean up
-        for helper in helpers:
-            helper.join()
-            helper.close()
-        for reader in readers:
-            reader.close()
-
-
-def _merged_texts(text, n_blocks: int, readers):
-    width = len(readers) + 1
-    for b in range(n_blocks):
-        w = b % width
-        if w == 0:
-            yield text(b)
-            continue
-        try:
-            body = readers[w - 1].recv()
-        except (EOFError, OSError):   # OSError: cut off inside a block
-            raise RuntimeError(f"table helper {w} ended before sending "
-                               f"block {b} of {n_blocks}") from None
-        yield body
 
 
 def format_results(rows, fmt: str = "csv"):
@@ -500,12 +487,22 @@ def format_results(rows, fmt: str = "csv"):
 
 
 def write_blocks(blocks, path) -> None:
-    """Write text blocks to path as they arrive; I/O errors carry the path."""
+    """Write text blocks to path as they arrive; I/O errors carry the path.
+
+    When the blocks or the writing fail part-way, a regular file at path is
+    removed, so no short table is left behind; a device or FIFO is kept."""
+    opened = False
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
+            opened = True
             fh.writelines(blocks)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    except BaseException as exc:
+        if opened and os.path.isfile(path):
+            with contextlib.suppress(OSError):   # keep the first error
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def emit_results(rows, path, fmt: str = "csv") -> None:
@@ -518,12 +515,10 @@ def los_probability_table(cfg: ScenarioConfig, states, heights,
     """LoS probability of the IoT->receiver hop per (sea state, mast height),
     as sea_state, h_r0_m and los_prob columns, heights varying fastest.
 
-    The cells run in order on a pool of at most one thread per cell and per
-    CPU, or in this thread when that is one.  Each cell draws from its own
-    generator, seeded by (seed, state index, height index), and its
-    probability is an exact count over samples, so the table is the same
-    for any thread count.  numpy releases the GIL in the sampler's ufunc
-    loops, so the threads overlap."""
+    The cells run through one ordered map on at most one process per cell
+    and per CPU.  Each cell draws from its own generator, seeded by (seed,
+    state index, height index), and its probability is an exact count over
+    samples, so the table is the same for any process count."""
     if seed is None:
         seed = cfg.seed
     levels = [int(level) for level in states]
@@ -542,14 +537,7 @@ def los_probability_table(cfg: ScenarioConfig, states, heights,
                                            seed=cell_seed,
                                            source=cfg.geometry.wave_source)
 
-    workers = _pool_size(len(cells))
-    if workers <= 1:
-        probs = list(map(probability, cells))
-    else:
-        # imported here, on the first pooled table, not with marisim
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            probs = list(pool.map(probability, cells))
+    probs = list(_ordered_map(probability, cells, _map_width(len(cells))))
     return {"sea_state": np.repeat(levels, len(heights)),
             "h_r0_m": np.tile(heights, len(levels)),
             "los_prob": np.array(probs)}

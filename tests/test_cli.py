@@ -62,6 +62,23 @@ def test_validate_runs_builtin_checks(capsys):
     assert "ok - LoS table determinism" in out
 
 
+def test_validate_reports_every_check_when_one_raises(monkeypatch, capsys):
+    def raises():
+        raise RuntimeError("helper process 1 ended")
+
+    def fails():
+        raise AssertionError("off by one")
+
+    monkeypatch.setattr(cli, "_CHECKS", (
+        ("first", lambda: None), ("second", raises), ("third", fails),
+        ("fourth", lambda: None)))
+    assert main(["validate"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "ok - first", "FAIL - second: RuntimeError: helper process 1 ended",
+        "FAIL - third: AssertionError: off by one", "ok - fourth",
+        "2 of 4 checks failed"]
+
+
 def test_sweep_writes_result_csv(tiny_ini, tmp_path):
     out = tmp_path / "rates.csv"
     code = main(["sweep", "--config", tiny_ini, "--var", "hr0",

@@ -1,7 +1,6 @@
 """Monte-Carlo harness: deployment statistics, interval pipeline, sweeps,
 and deterministic result emission."""
 
-import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -9,13 +8,14 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
+import stat
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,9 +43,31 @@ from marisim.harness import (
     run_cell,
     run_coherence_interval,
     run_sweep,
+    write_blocks,
 )
 from marisim.optimizer import OptimizerConfig
 from marisim.sea_surface import FloatingNode, sea_state
+
+
+FORKS = (multiprocessing.get_start_method(allow_none=True)
+         or multiprocessing.get_all_start_methods()[0]) == "fork"
+needs_fork = pytest.mark.skipif(not FORKS, reason="map helpers are forked")
+
+
+@pytest.fixture
+def map_widths(monkeypatch):
+    """The width of every harness._ordered_map call that forks helpers (a
+    width over 1); the map itself runs as usual."""
+    widths = []
+    ordered_map = harness._ordered_map
+
+    def spy(fn, items, width):
+        if width > 1:
+            widths.append(width)
+        return ordered_map(fn, items, width)
+
+    monkeypatch.setattr(harness, "_ordered_map", spy)
+    return widths
 
 
 def small_cfg(sea=5, N=8, M=2, mean_iots=2.0, **estimation):
@@ -142,65 +164,46 @@ def test_run_cell_is_deterministic_across_workers():
             assert np.array_equal(a.powers, b.powers)
 
 
-class RecordingPool:
-    """Stand-in for multiprocessing.Pool that records the size it is asked
-    for and maps in this process, so no worker is ever started."""
-
-    sizes = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
-
-
-def test_run_cell_caps_the_pool_at_trials_and_cpus(monkeypatch):
+@needs_fork
+def test_run_cell_caps_the_pool_at_trials_and_cpus(monkeypatch, map_widths):
     cfg = small_cfg()
     serial = run_cell(cfg, trials=4, seed=9, cell_idx=1)
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for jobs, trials in ((10 ** 6, 4), (10 ** 6, 2), (2, 4), (1, 4)):
         runs = run_cell(cfg, trials=trials, seed=9, cell_idx=1, n_jobs=jobs)
         assert [r.rate_ris for r in runs] == [r.rate_ris for r in serial[:trials]]
-    assert RecordingPool.sizes == [3, 2, 2]   # --jobs 1 starts no pool
+    assert map_widths == [3, 2, 2]   # --jobs 1 forks no helper
     # an unknown CPU count runs the cell in this process
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_cell(cfg, trials=2, seed=9, cell_idx=1, n_jobs=8)
-    assert RecordingPool.sizes == [3, 2, 2]
+    assert map_widths == [3, 2, 2]
+    assert multiprocessing.active_children() == []
 
 
-def test_run_sweep_maps_every_cell_through_one_pool(monkeypatch):
+@needs_fork
+def test_run_sweep_maps_every_cell_through_one_pool(monkeypatch, map_widths):
     cfg = small_cfg()
     serial = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2, seed=8)
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     pooled = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2, seed=8,
                        n_jobs=2)
-    assert RecordingPool.sizes == [2]
+    assert map_widths == [2]
     assert pooled == serial
 
 
+@needs_fork
 def test_failed_cell_flushes_partial_results_through_one_pool(tmp_path,
-                                                              monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+                                                              monkeypatch,
+                                                              map_widths):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg = small_cfg(N=4, b_subframes=8)
     out = tmp_path / "partial.csv"
     with pytest.raises(ConfigError):
-        # second cell asks for more elements than scheduled sub-frames
+        # second cell asks for more elements than scheduled sub-frames; its
+        # trial is the helper's, so the ConfigError crosses the pipe
         run_sweep(cfg, "n", [4, 16], trials=1, seed=1, flush_path=out,
                   n_jobs=2)
-    assert RecordingPool.sizes == [2]
+    assert map_widths == [2]
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and int(rows[0]["value"]) == 4
@@ -346,11 +349,6 @@ def test_format_table_memory_stays_at_one_block():
         assert peak < length / 4, (fmt, peak, length)
 
 
-FORKS = (multiprocessing.get_start_method(allow_none=True)
-         or multiprocessing.get_all_start_methods()[0]) == "fork"
-needs_fork = pytest.mark.skipif(not FORKS, reason="table helpers are forked")
-
-
 def mixed_table(n_blocks: int) -> dict:
     """int, str and float columns, with nan and +-inf, over n_blocks blocks
     of which the last is short."""
@@ -389,30 +387,42 @@ def test_split_table_is_byte_identical_to_inline(cpus, monkeypatch):
             for v in table.values()))], indent=2) + "\n"
 
 
+def sweep_rows():
+    return run_sweep(small_cfg(), "hr0", [3.0, 5.0], trials=2, seed=8,
+                     n_jobs=2)
+
+
+def los_table_text():
+    return "".join(format_table(los_probability_table(
+        small_cfg(), [3, 7], [2.0, 30.0], samples=200, seed=3)))
+
+
+def large_table_text():
+    return "".join(format_table(mixed_table(3 * harness.BLOCKS_PER_PROCESS)))
+
+
 @needs_fork
-def test_helpers_start_only_under_fork_with_no_other_thread(monkeypatch):
+@pytest.mark.parametrize("run", [sweep_rows, los_table_text, large_table_text],
+                         ids=["sweep", "los_table", "large_table"])
+def test_helpers_start_only_under_fork_with_no_other_thread(run, monkeypatch,
+                                                            map_widths):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    table = mixed_table(3 * harness.BLOCKS_PER_PROCESS)
-    inline = "".join(harness._blocks(table, False, width=1))
-
-    def inline_blocks():
-        blocks = format_table(table)
-        first = next(blocks)
-        assert multiprocessing.active_children() == []
-        return first + "".join(blocks)
-
+    forked = run()
+    assert map_widths == [2]
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, daemon=True)
     waiter.start()
     try:
-        assert inline_blocks() == inline
+        assert run() == forked
     finally:
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
     monkeypatch.setattr(multiprocessing, "get_start_method",
                         lambda allow_none=False: "spawn")
-    assert inline_blocks() == inline
+    assert run() == forked
+    assert map_widths == [2]   # neither run above forked a helper
+    assert multiprocessing.active_children() == []
 
 
 @needs_fork
@@ -445,6 +455,7 @@ def test_closing_blocks_early_stops_every_helper(monkeypatch, tmp_path):
         assert cli.main(["pathloss", "--points", "100000",
                          "--out", "/dev/full"]) == 1
         assert multiprocessing.active_children() == []
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)   # never removed
 
 
 @needs_fork
@@ -456,17 +467,116 @@ def test_dead_helper_raises_and_never_truncates_silently(monkeypatch, capsys,
     _, blocks = started_blocks(mixed_table(3 * harness.BLOCKS_PER_PROCESS))
     [helper] = multiprocessing.active_children()
     os.kill(helper.pid, signal.SIGKILL)
-    with pytest.raises(RuntimeError, match="table helper 1 ended"):
+    with pytest.raises(RuntimeError, match="helper process 1 ended"):
         list(blocks)
     assert multiprocessing.active_children() == []
-    # a helper that fails at once: exit 2 with the reason, through the CLI
-    monkeypatch.setattr(harness, "_send_texts", lambda *args: os._exit(3))
+    # a helper that fails at once: exit 2 with the reason, through the CLI,
+    # and the short --out file is removed
+    monkeypatch.setattr(harness, "_send_results", lambda *args: os._exit(3))
     out = tmp_path / "pathloss.csv"
     assert cli.main(["pathloss", "--points", "100000",
                      "--out", str(out)]) == 2
-    assert "table helper 1 ended before sending block 1" in (
+    assert "helper process 1 ended before sending result 1 of 49" in (
         capsys.readouterr().err)
     assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def failing_blocks():
+    yield "a,b\n"
+    raise RuntimeError("block 1 failed")
+
+
+def test_failed_table_removes_a_regular_out_file_only(tmp_path):
+    out = tmp_path / "table.csv"
+    out.write_text("an older table\n")
+    with pytest.raises(RuntimeError, match="block 1 failed"):
+        write_blocks(failing_blocks(), out)
+    assert not out.exists()
+    # a FIFO is written to, not replaced: its reader sees the first block
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(
+        fifo.read_text()), daemon=True)
+    reader.start()
+    with pytest.raises(RuntimeError, match="block 1 failed"):
+        write_blocks(failing_blocks(), fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and received == ["a,b\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@needs_fork
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_ordered_map_raises_a_helpers_exception_at_its_index(width):
+    def square(b):
+        if b == 5:
+            raise ConfigError("item 5 is out of range")
+        return b * b
+
+    results = harness._ordered_map(square, range(8), width)
+    assert [next(results) for _ in range(5)] == [0, 1, 4, 9, 16]
+    with pytest.raises(ConfigError, match="item 5 is out of range"):
+        next(results)
+    assert multiprocessing.active_children() == []
+
+
+# Run in a child interpreter, so that a regression hangs the child, which
+# the timeout ends, and not the test session.
+KILLED_HELPER_SCRIPT = """
+import multiprocessing, os, signal, sys
+from marisim import cli, config, harness
+
+parent, trial = os.getpid(), harness._trial_worker
+os.cpu_count = lambda: 2
+
+
+def killed_on_a_helper(task):
+    # trial 1 of cell 1 is the helper's: kill it there, as the OOM killer would
+    if os.getpid() != parent and task[1:3] == (1, 1):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return trial(task)
+
+
+harness._trial_worker = killed_on_a_helper
+ini, out = sys.argv[1:]
+try:
+    harness.run_sweep(config.load_config(ini), "hr0", [5.0, 7.0], trials=4,
+                      seed=7, n_jobs=2)
+except RuntimeError as exc:
+    print("RuntimeError:", exc)
+print("children:", multiprocessing.active_children())
+print("exit:", cli.main(["sweep", "--config", ini, "--var", "hr0",
+                         "--values", "5,7", "--trials", "4", "--seed", "7",
+                         "--jobs", "2", "--out", out]))
+print("children:", multiprocessing.active_children())
+"""
+
+
+@needs_fork
+def test_killed_sweep_helper_raises_instead_of_hanging(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[geometry]\nmean_iot_count = 2\n"
+                   "[radio]\nm_antennas = 2\nn_elements = 8\n"
+                   "[optimizer]\nsdp_max_iter = 150\n"
+                   "randomization_draws = 20\n")
+    out = tmp_path / "rates.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(harness.__file__)),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", KILLED_HELPER_SCRIPT,
+                           str(ini), str(out)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "RuntimeError: helper process 1 ended before sending result 5 of 8",
+        "children: []", "exit: 2", "children: []"]
+    assert "numerical failure: helper process 1 ended" in done.stderr
+    # cell 0's trials all completed before the helper died; its row is kept
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["value"], row["trials"]) for row in rows] == [("5.0", "4")]
 
 
 @pytest.mark.parametrize("count, T, B, M, what", [
@@ -517,34 +627,17 @@ def per_cell_reference(cfg, states, heights, samples, seed):
             for hi, h in enumerate(heights)]
 
 
-class RecordingExecutor(ThreadPoolExecutor):
-    """ThreadPoolExecutor that records the size of every pool made."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-        super().__init__(max_workers)
-
-
-@pytest.fixture
-def recording_executor(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    return RecordingExecutor.sizes
-
-
+@needs_fork
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_los_probability_table_equals_per_cell_calls(cpus, monkeypatch,
-                                                     recording_executor):
+                                                     map_widths):
     cfg = small_cfg()
     states, heights = [3, 8, 5], [2.0, 30.0]
     reference = per_cell_reference(cfg, states, heights, 700, 4)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     table = los_probability_table(cfg, states, heights, samples=700, seed=4)
     assert table["los_prob"].tolist() == reference
-    assert recording_executor == ([] if cpus == 1 else [cpus])
+    assert map_widths == ([] if cpus == 1 else [cpus])
 
 
 def test_los_probability_table_keeps_cell_order_when_cells_finish_late(
@@ -555,7 +648,7 @@ def test_los_probability_table_keeps_cell_order_when_cells_finish_late(
 
     def first_cell_slow(state, tx, rx, samples, seed, source):
         if seed[1:] == [0, 0]:
-            time.sleep(0.2)   # the other thread finishes the rest first
+            time.sleep(0.2)   # the helper finishes its cells first
         return calls(state, tx, rx, samples, seed=seed, source=source)
 
     monkeypatch.setattr(sea_surface, "los_probability", first_cell_slow)
@@ -565,50 +658,53 @@ def test_los_probability_table_keeps_cell_order_when_cells_finish_late(
     assert table["los_prob"].tolist() == reference
 
 
+@needs_fork
 def test_los_probability_table_pool_is_capped_at_cells_and_cpus(
-        monkeypatch, recording_executor):
+        monkeypatch, map_widths):
     cfg = small_cfg()
-    calls = sea_surface.los_probability
-    before = threading.active_count()
-    seen = []
-
-    def counting(*args, **kwargs):
-        seen.append(threading.active_count())
-        return calls(*args, **kwargs)
-
-    monkeypatch.setattr(sea_surface, "los_probability", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for states, heights in (([3, 7], [2.0, 5.0, 30.0]),   # 6 cells, 3 CPUs
                             ([3], [2.0, 30.0]),           # 2 cells
-                            ([5], [10.0])):               # 1 cell: no pool
+                            ([5], [10.0])):               # 1 cell: no helper
         los_probability_table(cfg, states, heights, samples=50, seed=1)
-        assert threading.active_count() == before
-    assert recording_executor == [3, 2]
-    assert max(seen) <= before + 3
+        assert multiprocessing.active_children() == []
+    assert map_widths == [3, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     los_probability_table(cfg, [3, 7], [2.0], samples=50, seed=1)
-    assert recording_executor == [3, 2]
+    assert map_widths == [3, 2]
 
 
-def test_failing_los_cell_propagates_and_leaves_no_thread(monkeypatch,
-                                                          capsys):
-    calls = sea_surface.los_probability
+def failing_cell(calls, cell):
+    """calls, the los_probability function, raising on one (state index,
+    height index) cell."""
 
     def failing(state, tx, rx, samples, seed, source):
-        if seed[1:] == [1, 0]:
-            raise FloatingPointError("overflow in cell (1, 0)")
+        if seed[1:] == cell:
+            raise FloatingPointError(f"overflow in cell {tuple(cell)}")
         return calls(state, tx, rx, samples, seed=seed, source=source)
 
-    monkeypatch.setattr(sea_surface, "los_probability", failing)
+    return failing
+
+
+@needs_fork
+def test_failing_los_cell_propagates_and_leaves_no_helper(monkeypatch,
+                                                          capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="cell \\(1, 0\\)"):
-        los_probability_table(small_cfg(), [3, 7], [2.0, 30.0], samples=50)
-    assert threading.active_count() == before
-    assert cli.main(["los-prob", "--states", "3,7", "--heights", "2,30",
-                     "--samples", "50"]) == 2
-    assert "overflow in cell (1, 0)" in capsys.readouterr().err
-    assert threading.active_count() == before
+    # of the four cells on two processes, (0, 1) is the helper's and (1, 0)
+    # this process's
+    calls = sea_surface.los_probability
+    for cell in ([0, 1], [1, 0]):
+        monkeypatch.setattr(sea_surface, "los_probability",
+                            failing_cell(calls, cell))
+        message = f"overflow in cell {tuple(cell)}"
+        with pytest.raises(FloatingPointError, match=re.escape(message)):
+            los_probability_table(small_cfg(), [3, 7], [2.0, 30.0],
+                                  samples=50)
+        assert multiprocessing.active_children() == []
+        assert cli.main(["los-prob", "--states", "3,7", "--heights", "2,30",
+                         "--samples", "50"]) == 2
+        assert message in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 def test_pathloss_table_columns_and_guard():
