@@ -16,9 +16,9 @@ come back in item order.  One gate, _map_width, sizes it for all three, and
 keeps it in the calling process where forking is unsafe.
 
 Determinism contract: every trial owns an RNG stream seeded by the integer
-triple (seed, cell index, trial index), trials are collected in index order
-whatever the process count, and aggregation reduces fixed-order arrays,
-so identical (config, seed) inputs give byte-identical output files.
+triple (scenario seed, cell index, trial index), trials are collected in
+index order whatever the process count, and aggregation reduces fixed-order
+arrays, so identical configs give byte-identical output files.
 """
 
 from __future__ import annotations
@@ -234,9 +234,9 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
         rank_failure=False)
 
 
-def _trial_worker(args) -> TrialRecord:
-    cfg, cell_idx, trial_idx, seed = args
-    rng = np.random.default_rng([seed, cell_idx, trial_idx])
+def _trial_worker(task) -> TrialRecord:
+    cfg, cell_idx, trial_idx = task
+    rng = np.random.default_rng([cfg.seed, cell_idx, trial_idx])
     return run_coherence_interval(cfg, trial_idx, rng)
 
 
@@ -311,19 +311,26 @@ def _ordered_map(fn, items, width: int):
             reader.close()
 
 
-def run_cell(cfg: ScenarioConfig, trials: int, seed=None, cell_idx: int = 0,
-             n_jobs: int = 1) -> list:
-    """All trials of one sweep cell, in trial order regardless of n_jobs.
+def _map_trials(cells, trials: int, n_jobs: int):
+    """Generator of the TrialRecords of each (cell index, config) in cells,
+    trials per cell, cell by cell and in trial order, on at most n_jobs
+    processes, one per trial and per CPU (see _map_width).
 
-    The trials run on at most n_jobs processes, one per trial and per CPU
-    (see _map_width)."""
+    Raises ConfigError for trials or n_jobs below 1 before any trial runs."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if seed is None:
-        seed = cfg.seed
-    tasks = [(cfg, cell_idx, k, seed) for k in range(trials)]
-    return list(_ordered_map(_trial_worker, tasks,
-                             _map_width(len(tasks), n_jobs)))
+    if n_jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    tasks = [(cfg, cell_idx, k) for cell_idx, cfg in cells
+             for k in range(trials)]
+    return _ordered_map(_trial_worker, tasks, _map_width(len(tasks), n_jobs))
+
+
+def run_cell(cfg: ScenarioConfig, trials: int, *, cell_idx: int = 0,
+             n_jobs: int = 1) -> list:
+    """All trials of one sweep cell, trial k seeded by (cfg.seed, cell_idx,
+    k), in trial order on at most n_jobs processes."""
+    return list(_map_trials([(cell_idx, cfg)], trials, n_jobs))
 
 
 def aggregate_cell(records) -> dict:
@@ -341,25 +348,24 @@ def aggregate_cell(records) -> dict:
     }
 
 
-def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int,
-              seed=None, sea_states=None, n_jobs: int = 1,
+def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int, *,
+              sea_states=None, n_jobs: int = 1,
               flush_path=None, flush_format: str = "csv") -> list:
     """Sweep one variable over values (crossed with sea states unless the
     variable IS the sea state); returns one aggregate row per cell.
 
     Every cell's config is built before any trial runs, so an invalid value
     raises ConfigError first.  All (cell, trial) tasks then run through one
-    ordered map on at most n_jobs processes, one per task and per CPU.  On
-    a failure inside a trial the completed rows are flushed to flush_path
-    (when given) before the error propagates.
+    ordered map on at most n_jobs processes, one per task and per CPU, trial
+    k of cell c seeded by (cfg.seed, c, k).  On a failure inside a trial the
+    completed rows are flushed to flush_path (when given) before the error
+    propagates.
     """
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if seed is None:
-        seed = cfg.seed
     if variable == "sea":
         if sea_states is not None:
             raise ConfigError("a sea-state sweep fixes the states itself")
@@ -368,19 +374,14 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int,
         states = [cfg.sea_state] if sea_states is None else list(sea_states)
         cells = [(v, int(s)) for v in values for s in states]
 
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
     cfgs = []
     for value, state in cells:
         cfg_cell = apply_sweep_value(cfg, variable, value)
         if cfg_cell.sea_state != state:
             cfg_cell = dataclasses.replace(cfg_cell, sea_state=state)
         cfgs.append(cfg_cell)
-    tasks = [(cfg_cell, cell_idx, k, seed)
-             for cell_idx, cfg_cell in enumerate(cfgs) for k in range(trials)]
 
-    records = _ordered_map(_trial_worker, tasks,
-                           _map_width(len(tasks), n_jobs))
+    records = _map_trials(enumerate(cfgs), trials, n_jobs)
     rows = []
     try:
         with contextlib.closing(records):
@@ -388,7 +389,7 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int,
                 cell = list(itertools.islice(records, trials))
                 rows.append({"sweep_var": variable, "value": value,
                              "sea_state": state, **aggregate_cell(cell),
-                             "trials": trials, "seed": seed})
+                             "trials": trials, "seed": cfg.seed})
     except Exception:
         if flush_path is not None:
             emit_results(rows, flush_path, flush_format)
@@ -511,23 +512,21 @@ def emit_results(rows, path, fmt: str = "csv") -> None:
 
 
 def los_probability_table(cfg: ScenarioConfig, states, heights,
-                          samples: int = 10_000, seed=None) -> dict:
+                          samples: int = 10_000) -> dict:
     """LoS probability of the IoT->receiver hop per (sea state, mast height),
     as sea_state, h_r0_m and los_prob columns, heights varying fastest.
 
     The cells run through one ordered map on at most one process per cell
-    and per CPU.  Each cell draws from its own generator, seeded by (seed,
-    state index, height index), and its probability is an exact count over
-    samples, so the table is the same for any process count."""
-    if seed is None:
-        seed = cfg.seed
+    and per CPU.  Each cell draws from its own generator, seeded by
+    (cfg.seed, state index, height index), and its probability is an exact
+    count over samples, so the table is the same for any process count."""
     levels = [int(level) for level in states]
     heights = [float(h) for h in heights]
     tx = FloatingNode(position=cfg.geometry.turbine_position,
                       mast_height=cfg.geometry.iot_mast_m)
     cells = [(sea_surface.sea_state(level),
               FloatingNode(position=cfg.geometry.rx_position, mast_height=h),
-              [seed, si, hi])
+              [cfg.seed, si, hi])
              for si, level in enumerate(levels)
              for hi, h in enumerate(heights)]
 

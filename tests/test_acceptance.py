@@ -131,10 +131,10 @@ def test_criterion_3_single_antenna_alignment_bound(criterion):
 
 def test_criterion_4_los_probability_trends(criterion):
     t0 = time.perf_counter()
-    cfg = ScenarioConfig()
+    cfg = ScenarioConfig(seed=0)
     states = [2, 3, 4, 5, 6, 7, 8]
     heights = [2.0, 5.0, 10.0, 20.0, 30.0]
-    table = los_probability_table(cfg, states, heights, samples=10_000, seed=0)
+    table = los_probability_table(cfg, states, heights, samples=10_000)
     prob = dict(zip(zip(table["sea_state"].tolist(), table["h_r0_m"].tolist()),
                     table["los_prob"].tolist()))
     monotone = all(prob[(s, a)] <= prob[(s, b)] + 1e-12
@@ -181,8 +181,9 @@ def test_criterion_6_ris_rate_advantage_at_scaled_scenario(criterion):
         radio=RadioConfig(m_antennas=4, n_elements=64),
         optimizer=OptimizerConfig(sdp_tol=1e-4, sdp_max_iter=300,
                                   randomization_draws=40),
+        seed=6,
     )
-    records = run_cell(cfg, trials=200, seed=6, cell_idx=0)
+    records = run_cell(cfg, trials=200, cell_idx=0)
     ratio = (np.mean([r.rate_ris for r in records])
              / np.mean([r.rate_noris for r in records]))
     elapsed = time.perf_counter() - t0
@@ -203,10 +204,11 @@ def test_criterion_7_diminishing_returns_per_element(criterion):
             radio=RadioConfig(m_antennas=8, n_elements=N),
             optimizer=OptimizerConfig(sdp_tol=1e-4, sdp_max_iter=120,
                                       randomization_draws=40),
+            seed=11,
         )
-        # same (seed, cell, trial) streams across N: paired common random
-        # numbers isolate the element-count effect
-        recs = run_cell(cfg, trials=200, seed=11, cell_idx=0)
+        # same (scenario seed, cell, trial) streams across N: paired common
+        # random numbers isolate the element-count effect
+        recs = run_cell(cfg, trials=200, cell_idx=0)
         rates[N] = np.array([r.rate_ris for r in recs])
     gains = [float(np.mean(rates[b] - rates[a])) / (b - a)
              for a, b in zip(Ns, Ns[1:])]
@@ -236,11 +238,12 @@ def test_criterion_8_energy_chain_and_calm_sea_regime(criterion):
         radio=RadioConfig(m_antennas=2, n_elements=16),
         optimizer=OptimizerConfig(sdp_tol=1e-4, sdp_max_iter=150,
                                   randomization_draws=20),
+        seed=8,
     )
     means = []
     for p_max in (10.0, 100.0):
         recs = run_cell(apply_sweep_value(cfg, "pmax", p_max),
-                        trials=20, seed=8, cell_idx=0)
+                        trials=20, cell_idx=0)
         means.append(np.mean([r.rate_ris for r in recs]))
     change = abs(means[1] - means[0]) / means[0]
     elapsed = time.perf_counter() - t0
@@ -261,11 +264,11 @@ def test_criterion_9_byte_identical_results(criterion, tmp_path):
         radio=RadioConfig(m_antennas=2, n_elements=8),
         optimizer=OptimizerConfig(sdp_tol=1e-4, sdp_max_iter=150,
                                   randomization_draws=15),
+        seed=9,
     )
     blobs = []
     for run, jobs in enumerate((1, 1, 2)):
-        rows = run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, seed=9,
-                         n_jobs=jobs)
+        rows = run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, n_jobs=jobs)
         path = tmp_path / f"run{run}.csv"
         emit_results(rows, path, "csv")
         blobs.append(path.read_bytes())

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -146,8 +147,8 @@ def test_sweep_states_cross_the_values(tiny_ini, tmp_path):
                      "--seed", "6", "--jobs", jobs, "--out", str(path)]) == 0
         texts[jobs] = path.read_bytes()
     assert texts["1"] == texts["2"]
-    rows = harness.run_sweep(load_config(tiny_ini), "pmax", [10.0, 20.0], 1,
-                             seed=6, sea_states=[2, 5])
+    cfg = dataclasses.replace(load_config(tiny_ini), seed=6)
+    rows = harness.run_sweep(cfg, "pmax", [10.0, 20.0], 1, sea_states=[2, 5])
     assert texts["1"] == "".join(harness.format_results(rows)).encode()
     assert [(float(r["value"]), int(r["sea_state"]))
             for r in read_csv(tmp_path / "jobs1.csv")] == [
@@ -238,6 +239,9 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["sweep", "--var", "hr0", "--values", "5", "--states", "3.5"],
     ["sweep", "--var", "sea", "--values", "4", "--states", "5"],  # sets its own
     ["sweep", "--var", "n", "--values", "40.5"],      # not an element count
+    ["sweep", "--var", "hr0", "--values", "5", "--jobs", "0"],
+    ["sweep", "--var", "hr0", "--values", "5", "--jobs", "-3"],
+    ["los-prob", "--seed", "-1"],                     # the scenario's rule
 ])
 def test_usage_and_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -247,9 +251,9 @@ def test_usage_and_config_errors_exit_1(argv, capsys):
 def test_bad_config_file_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[radio]\nbogus_key = 3\n")
-    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["pathloss", "--config", str(path)]) == 1
     assert "bogus_key" in capsys.readouterr().err
-    assert main(["validate", "--config", str(tmp_path / "missing.ini")]) == 1
+    assert main(["pathloss", "--config", str(tmp_path / "missing.ini")]) == 1
 
 
 def test_exclusions_covering_the_deploy_disk_exit_1(tmp_path, capsys):

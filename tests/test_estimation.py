@@ -127,8 +127,9 @@ def test_intervals_of_a_cell_share_one_schedule(monkeypatch):
         radio=RadioConfig(m_antennas=2, n_elements=8),
         estimation=EstimationConfig(noiseless=True),
         optimizer=OptimizerConfig(sdp_tol=1e-4, sdp_max_iter=50,
-                                  randomization_draws=5))
-    run_cell(cfg, trials=2, seed=3)
+                                  randomization_draws=5),
+        seed=3)
+    run_cell(cfg, trials=2)
     assert len(sounded) == 2   # both intervals deployed IoTs and sounded
     assert sounded[0] == sounded[1] == make_reflection_schedule(8, 8)
     assert_closed_form(make_reflection_schedule(8, 8))

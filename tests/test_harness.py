@@ -70,7 +70,7 @@ def map_widths(monkeypatch):
     return widths
 
 
-def small_cfg(sea=5, N=8, M=2, mean_iots=2.0, **estimation):
+def small_cfg(sea=5, N=8, M=2, mean_iots=2.0, seed=0, **estimation):
     """Scaled-down scenario so harness tests stay fast."""
     return ScenarioConfig(
         sea_state=sea,
@@ -79,6 +79,7 @@ def small_cfg(sea=5, N=8, M=2, mean_iots=2.0, **estimation):
         estimation=EstimationConfig(**estimation),
         optimizer=OptimizerConfig(sdp_tol=1e-4, sdp_max_iter=150,
                                   randomization_draws=20),
+        seed=seed,
     )
 
 
@@ -153,8 +154,8 @@ def test_empty_deployment_yields_zero_record():
 
 
 def test_run_cell_is_deterministic_across_workers():
-    cfg = small_cfg()
-    runs = [run_cell(cfg, trials=4, seed=9, cell_idx=1, n_jobs=jobs)
+    cfg = small_cfg(seed=9)
+    runs = [run_cell(cfg, trials=4, cell_idx=1, n_jobs=jobs)
             for jobs in (1, 1, 2)]
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
@@ -166,27 +167,26 @@ def test_run_cell_is_deterministic_across_workers():
 
 @needs_fork
 def test_run_cell_caps_the_pool_at_trials_and_cpus(monkeypatch, map_widths):
-    cfg = small_cfg()
-    serial = run_cell(cfg, trials=4, seed=9, cell_idx=1)
+    cfg = small_cfg(seed=9)
+    serial = run_cell(cfg, trials=4, cell_idx=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for jobs, trials in ((10 ** 6, 4), (10 ** 6, 2), (2, 4), (1, 4)):
-        runs = run_cell(cfg, trials=trials, seed=9, cell_idx=1, n_jobs=jobs)
+        runs = run_cell(cfg, trials=trials, cell_idx=1, n_jobs=jobs)
         assert [r.rate_ris for r in runs] == [r.rate_ris for r in serial[:trials]]
     assert map_widths == [3, 2, 2]   # --jobs 1 forks no helper
     # an unknown CPU count runs the cell in this process
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_cell(cfg, trials=2, seed=9, cell_idx=1, n_jobs=8)
+    run_cell(cfg, trials=2, cell_idx=1, n_jobs=8)
     assert map_widths == [3, 2, 2]
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
 def test_run_sweep_maps_every_cell_through_one_pool(monkeypatch, map_widths):
-    cfg = small_cfg()
-    serial = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2, seed=8)
+    cfg = small_cfg(seed=8)
+    serial = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    pooled = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2, seed=8,
-                       n_jobs=2)
+    pooled = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2, n_jobs=2)
     assert map_widths == [2]
     assert pooled == serial
 
@@ -196,29 +196,39 @@ def test_failed_cell_flushes_partial_results_through_one_pool(tmp_path,
                                                               monkeypatch,
                                                               map_widths):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    cfg = small_cfg(N=4, b_subframes=8)
+    cfg = small_cfg(N=4, seed=1, b_subframes=8)
     out = tmp_path / "partial.csv"
     with pytest.raises(ConfigError):
         # second cell asks for more elements than scheduled sub-frames; its
         # trial is the helper's, so the ConfigError crosses the pipe
-        run_sweep(cfg, "n", [4, 16], trials=1, seed=1, flush_path=out,
-                  n_jobs=2)
+        run_sweep(cfg, "n", [4, 16], trials=1, flush_path=out, n_jobs=2)
     assert map_widths == [2]
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and int(rows[0]["value"]) == 4
 
 
+def test_jobs_below_one_raise_before_any_interval(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_coherence_interval",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="jobs must be >= 1"):
+        run_cell(small_cfg(), trials=2, n_jobs=0)
+    with pytest.raises(ConfigError, match="jobs must be >= 1"):
+        run_sweep(small_cfg(), "hr0", [5.0, 7.0], trials=2, n_jobs=-1)
+    assert calls == []
+
+
 def test_noiseless_ris_never_loses_to_direct():
-    cfg = small_cfg(sea=5, noiseless=True)
-    for rec in run_cell(cfg, trials=25, seed=21):
+    cfg = small_cfg(sea=5, seed=21, noiseless=True)
+    for rec in run_cell(cfg, trials=25):
         assert rec.c_ris >= rec.c_noris - 1e-9
         assert rec.rate_ris >= rec.rate_noris - 1e-9
 
 
 def test_aggregate_cell_statistics():
-    cfg = small_cfg()
-    records = run_cell(cfg, trials=5, seed=2)
+    cfg = small_cfg(seed=2)
+    records = run_cell(cfg, trials=5)
     agg = aggregate_cell(records)
     rates = [r.rate_ris for r in records]
     assert agg["mean_rate_ris"] == pytest.approx(np.mean(rates))
@@ -228,44 +238,43 @@ def test_aggregate_cell_statistics():
 
 
 def test_run_sweep_cell_grid_and_single_trial_reduction():
-    cfg = small_cfg()
-    rows = run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, seed=4,
-                     sea_states=[4, 5])
+    cfg = small_cfg(seed=4)
+    rows = run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, sea_states=[4, 5])
     assert [(r["value"], r["sea_state"]) for r in rows] == [
         (5.0, 4), (5.0, 5), (7.0, 4), (7.0, 5)]
     assert all(set(RESULT_COLUMNS) == set(r) for r in rows)
 
-    single = run_sweep(cfg, "n", [8], trials=1, seed=4)
+    single = run_sweep(cfg, "n", [8], trials=1)
     [row] = single
-    rec = run_cell(cfg, trials=1, seed=4, cell_idx=0)[0]
+    rec = run_cell(cfg, trials=1, cell_idx=0)[0]
     assert row["mean_rate_ris"] == pytest.approx(rec.rate_ris)
     assert row["std_rate_ris"] == 0.0
 
 
 def test_sea_sweep_sets_states_and_rejects_cross_product():
     cfg = small_cfg()
-    rows = run_sweep(cfg, "sea", [4, 6], trials=1, seed=0)
+    rows = run_sweep(cfg, "sea", [4, 6], trials=1)
     assert [r["sea_state"] for r in rows] == [4, 6]
     with pytest.raises(ConfigError):
-        run_sweep(cfg, "sea", [4, 6], trials=1, seed=0, sea_states=[4])
+        run_sweep(cfg, "sea", [4, 6], trials=1, sea_states=[4])
     with pytest.raises(ConfigError):
-        run_sweep(cfg, "hr0", [], trials=1, seed=0)
+        run_sweep(cfg, "hr0", [], trials=1)
 
 
 def test_failed_cell_flushes_partial_results(tmp_path):
-    cfg = small_cfg(N=4, b_subframes=8)
+    cfg = small_cfg(N=4, seed=1, b_subframes=8)
     out = tmp_path / "partial.csv"
     with pytest.raises(ConfigError):
         # second cell asks for more elements than scheduled sub-frames
-        run_sweep(cfg, "n", [4, 16], trials=1, seed=1, flush_path=out)
+        run_sweep(cfg, "n", [4, 16], trials=1, flush_path=out)
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and int(rows[0]["value"]) == 4
 
 
 def test_emit_and_read_roundtrip_bit_exact(tmp_path):
-    cfg = small_cfg()
-    rows = run_sweep(cfg, "hr0", [5.0], trials=2, seed=6)
+    cfg = small_cfg(seed=6)
+    rows = run_sweep(cfg, "hr0", [5.0], trials=2)
     path = tmp_path / "out.json"
     emit_results(rows, path, "structured")
     with open(path, encoding="utf-8") as fh:
@@ -388,13 +397,12 @@ def test_split_table_is_byte_identical_to_inline(cpus, monkeypatch):
 
 
 def sweep_rows():
-    return run_sweep(small_cfg(), "hr0", [3.0, 5.0], trials=2, seed=8,
-                     n_jobs=2)
+    return run_sweep(small_cfg(seed=8), "hr0", [3.0, 5.0], trials=2, n_jobs=2)
 
 
 def los_table_text():
     return "".join(format_table(los_probability_table(
-        small_cfg(), [3, 7], [2.0, 30.0], samples=200, seed=3)))
+        small_cfg(seed=3), [3, 7], [2.0, 30.0], samples=200)))
 
 
 def large_table_text():
@@ -525,7 +533,7 @@ def test_ordered_map_raises_a_helpers_exception_at_its_index(width):
 # Run in a child interpreter, so that a regression hangs the child, which
 # the timeout ends, and not the test session.
 KILLED_HELPER_SCRIPT = """
-import multiprocessing, os, signal, sys
+import dataclasses, multiprocessing, os, signal, sys
 from marisim import cli, config, harness
 
 parent, trial = os.getpid(), harness._trial_worker
@@ -542,8 +550,8 @@ def killed_on_a_helper(task):
 harness._trial_worker = killed_on_a_helper
 ini, out = sys.argv[1:]
 try:
-    harness.run_sweep(config.load_config(ini), "hr0", [5.0, 7.0], trials=4,
-                      seed=7, n_jobs=2)
+    cfg = dataclasses.replace(config.load_config(ini), seed=7)
+    harness.run_sweep(cfg, "hr0", [5.0, 7.0], trials=4, n_jobs=2)
 except RuntimeError as exc:
     print("RuntimeError:", exc)
 print("children:", multiprocessing.active_children())
@@ -603,17 +611,17 @@ def test_interval_past_the_size_cap_raises_before_allocating(monkeypatch):
 
 
 def test_los_probability_table_shape_and_range():
-    cfg = small_cfg()
-    table = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=500, seed=8)
+    cfg = small_cfg(seed=8)
+    table = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=500)
     assert list(table) == ["sea_state", "h_r0_m", "los_prob"]
     assert list(zip(table["sea_state"].tolist(), table["h_r0_m"].tolist())) == [
         (3, 2.0), (3, 30.0), (7, 2.0), (7, 30.0)]
     assert all(0.0 <= p <= 1.0 for p in table["los_prob"])
-    again = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=500, seed=8)
+    again = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=500)
     assert all(np.array_equal(table[c], again[c]) for c in table)
 
 
-def per_cell_reference(cfg, states, heights, samples, seed):
+def per_cell_reference(cfg, states, heights, samples):
     """los_probability called cell by cell, in table order, in this thread."""
     tx = FloatingNode(position=cfg.geometry.turbine_position,
                       mast_height=cfg.geometry.iot_mast_m)
@@ -621,7 +629,7 @@ def per_cell_reference(cfg, states, heights, samples, seed):
                 sea_state(level), tx,
                 FloatingNode(position=cfg.geometry.rx_position,
                              mast_height=h),
-                samples, seed=[seed, si, hi],
+                samples, seed=[cfg.seed, si, hi],
                 source=cfg.geometry.wave_source)
             for si, level in enumerate(states)
             for hi, h in enumerate(heights)]
@@ -631,19 +639,19 @@ def per_cell_reference(cfg, states, heights, samples, seed):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_los_probability_table_equals_per_cell_calls(cpus, monkeypatch,
                                                      map_widths):
-    cfg = small_cfg()
+    cfg = small_cfg(seed=4)
     states, heights = [3, 8, 5], [2.0, 30.0]
-    reference = per_cell_reference(cfg, states, heights, 700, 4)
+    reference = per_cell_reference(cfg, states, heights, 700)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    table = los_probability_table(cfg, states, heights, samples=700, seed=4)
+    table = los_probability_table(cfg, states, heights, samples=700)
     assert table["los_prob"].tolist() == reference
     assert map_widths == ([] if cpus == 1 else [cpus])
 
 
 def test_los_probability_table_keeps_cell_order_when_cells_finish_late(
         monkeypatch):
-    cfg = small_cfg()
-    reference = per_cell_reference(cfg, [3, 7], [2.0, 30.0], 300, 2)
+    cfg = small_cfg(seed=2)
+    reference = per_cell_reference(cfg, [3, 7], [2.0, 30.0], 300)
     calls = sea_surface.los_probability
 
     def first_cell_slow(state, tx, rx, samples, seed, source):
@@ -653,24 +661,23 @@ def test_los_probability_table_keeps_cell_order_when_cells_finish_late(
 
     monkeypatch.setattr(sea_surface, "los_probability", first_cell_slow)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    table = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=300,
-                                  seed=2)
+    table = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=300)
     assert table["los_prob"].tolist() == reference
 
 
 @needs_fork
 def test_los_probability_table_pool_is_capped_at_cells_and_cpus(
         monkeypatch, map_widths):
-    cfg = small_cfg()
+    cfg = small_cfg(seed=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for states, heights in (([3, 7], [2.0, 5.0, 30.0]),   # 6 cells, 3 CPUs
                             ([3], [2.0, 30.0]),           # 2 cells
                             ([5], [10.0])):               # 1 cell: no helper
-        los_probability_table(cfg, states, heights, samples=50, seed=1)
+        los_probability_table(cfg, states, heights, samples=50)
         assert multiprocessing.active_children() == []
     assert map_widths == [3, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    los_probability_table(cfg, [3, 7], [2.0], samples=50, seed=1)
+    los_probability_table(cfg, [3, 7], [2.0], samples=50)
     assert map_widths == [3, 2]
 
 
@@ -721,13 +728,14 @@ def test_mean_rate_grows_with_receiver_mast_in_rough_seas():
     """Raising the receiver antenna clears more wave crests, so the mean
     effective rate should trend upward (one sampling inversion tolerated).
 
-    Paired trials (same seed and cell index per height) share deployments,
-    wave phases, and fading draws, so the height effect is isolated."""
-    cfg = small_cfg(sea=7, N=16, M=2, mean_iots=4.0)
+    Paired trials (same scenario seed and cell index per height) share
+    deployments, wave phases, and fading draws, so the height effect is
+    isolated."""
+    cfg = small_cfg(sea=7, N=16, M=2, mean_iots=4.0, seed=3)
     heights = [2.0, 5.0, 10.0, 20.0, 30.0]
     rates = [np.array([r.rate_ris for r in
                        run_cell(apply_sweep_value(cfg, "hr0", h),
-                                trials=200, seed=3, cell_idx=0)])
+                                trials=200, cell_idx=0)])
              for h in heights]
     drops = 0
     for lo, hi in zip(rates, rates[1:]):

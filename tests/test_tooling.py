@@ -83,6 +83,17 @@ def test_readme_experiment_commands_write_each_grid(tmp_path):
                                   for s in (2, 5)}
 
 
+def test_readme_library_example_runs_as_written(capsys):
+    """The README's library use, executed as written: it prints one mean
+    rate, so the documented call cannot drift from the API."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use")[1].split("\n## ")[0]
+    [block] = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    mean_rate = float(capsys.readouterr().out)
+    assert np.isfinite(mean_rate) and mean_rate > 0
+
+
 def test_one_interval_sounds_the_schedule_once_and_estimates_once(monkeypatch):
     """The benchmark's estimation.sound and estimation.ls spans wrap these
     two calls, so all of the sounding and LS work must happen inside them."""
