@@ -101,6 +101,10 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
     values = _parse_values(args.values, SWEEP_VARIABLES[args.var][0])
     states = (None if args.states is None
               else _parse_values(args.states, sea_level, "sea state"))
+    if args.jobs > 1 and harness._map_width(args.jobs) == 1:
+        print(f"note: --jobs {args.jobs} runs in one process: helpers are "
+              "forked only with the fork start method, no other thread "
+              "alive and more than one CPU", file=sys.stderr)
     rows = harness.run_sweep(cfg, args.var, values, args.trials,
                              sea_states=states, n_jobs=args.jobs,
                              flush_path=args.out, flush_format=args.format)
@@ -144,9 +148,9 @@ def _check_estimation_exact():
     snap = _random_instance(rng, N=6, M=2, I=2)
     pilots = estimation.make_orthogonal_pilots(2, 2, snap.P_t)
     sched = estimation.make_reflection_schedule(6, 6)
-    Y = estimation.simulate_pilot_rx(snap, sched, pilots, None)
-    Hd_hat = estimation.estimate_direct(Y[0], Y[1], pilots)
-    G_hat = estimation.estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
+    U = estimation.simulate_pilot_rx(snap, sched, pilots, None)
+    Hd_hat = estimation.estimate_direct(U[0], U[1], pilots)
+    G_hat = estimation.estimate_cascaded(U[2:], pilots, Hd_hat, sched)
     err_h = np.linalg.norm(Hd_hat - snap.H_d) / np.linalg.norm(snap.H_d)
     err_g = np.max(np.linalg.norm(G_hat - snap.G, axis=(1, 2))
                    / np.linalg.norm(snap.G, axis=(1, 2)))

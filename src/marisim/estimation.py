@@ -2,21 +2,22 @@
 
 Stage one cancels the RIS path with a +/- reflection pair and estimates the
 direct channels; stage two sweeps B >= N scheduled reflections and estimates
-the cascaded channels.  All B + 2 reflections are sounded in one call,
-giving (B + 2, T, M) received blocks.
+the cascaded channels.  All B + 2 reflections are sounded in one call.
 
-The pilot book and the reflection schedule can only be built as Fourier
-matrices, so S^H S = diag(P_i T) and the schedule's normal matrix is B I by
-construction, and both LS stages are matched filters: no Gram or normal
+Sounding returns pilot observations, not received blocks: row i is
+s_i Y / (P_i T), IoT i's projection of a received (T, M) block Y.  The
+Fourier pilot book has S^H S = diag(P_i T), so row i's signal part is IoT
+i's combined channel and the book only projects the noise.  Stage one
+averages the +/- pair, and stage two is a matched filter: no Gram or normal
 matrix is formed or solved.
 
 The schedule is the DFT plan of Zheng & Zhang, "Intelligent reflecting
 surface-enhanced OFDM: channel estimation and reflection optimization",
-IEEE WCL 9(4), 2020: sub-frame b reflects with q_b[n] = exp(2 pi j n b / B).
-So the B scheduled combined channels h_d + q_b G are h_d + B ifft(G) over
-the element axis, zero-padded to B points, and the stage-two matched filter
-G = sum_b q_b^H u_b / B is the first N points of fft(u) over the sub-frames,
-divided by B.  Neither the N x B schedule nor any reflection row is stored.
+IEEE WCL 9(4), 2020: sub-frame b reflects with q_b[n] = exp(2 pi j n b / B),
+and its normal matrix is B I.  So the B scheduled combined channels
+h_d + q_b G are h_d + B ifft(G) over the element axis, zero-padded to B
+points, and the stage-two matched filter G = sum_b q_b^H (U_b - h_d) / B is
+the first N points of the FFT over the sub-frames, divided by B.
 """
 
 from __future__ import annotations
@@ -67,11 +68,9 @@ def make_orthogonal_pilots(I: int, T: int, powers) -> PilotBook:
 class ReflectionSchedule:
     """Fourier reflection plan over N elements and B >= N sub-frames: the
     +/- pair (q0, q1) = (1, -1) plus B scheduled reflections, reflection b
-    being q_b[n] = exp(2 pi j n b / B).
-
-    Rows of the B-point Fourier matrix are orthogonal for N <= B, so the
-    schedule's normal matrix is B I.  No reflection is stored: sounding and
-    LS apply the schedule as an FFT."""
+    being q_b[n] = exp(2 pi j n b / B).  Its rows are orthogonal for N <= B,
+    so its normal matrix is B I.  No reflection is stored: sounding and LS
+    apply the schedule as an FFT."""
 
     N: int
     B: int
@@ -117,10 +116,10 @@ def _scheduled_channels(snap: NetworkSnapshot, sched: ReflectionSchedule) -> np.
 
 
 def simulate_pilot_rx(snap: NetworkSnapshot, q, pilots: PilotBook, rng=None) -> np.ndarray:
-    """Received pilot blocks under reflection q: (T, M) for one reflection,
-    (K, T, M) for a (K, N) stack, and (B + 2, T, M) for a ReflectionSchedule,
-    sounded in the order q0, q1, then the B scheduled reflections.  rng None
-    disables noise.
+    """Pilot observations under reflection q: (I, M) for one reflection,
+    (K, I, M) for a (K, N) stack, and (B + 2, I, M) for a ReflectionSchedule,
+    sounded in the order q0, q1, then the B scheduled reflections: the
+    combined channel rows plus the projected noise.  rng None disables noise.
 
     Each block's noise is drawn as its real then its imaginary (T, M) part,
     in stack order, so a stack uses rng exactly as K single calls do.
@@ -128,49 +127,49 @@ def simulate_pilot_rx(snap: NetworkSnapshot, q, pilots: PilotBook, rng=None) -> 
     if pilots.I != snap.I:
         raise ValueError("pilot book and snapshot disagree on IoT count")
     if isinstance(q, ReflectionSchedule):
-        # one GEMM over the (I, (B + 2) M) rows, viewed as (B + 2, T, M)
-        rows = _scheduled_channels(snap, q)
-        Y = (pilots.S @ rows.reshape(snap.I, -1)).reshape(pilots.T, -1, snap.M)
-        Y = Y.transpose(1, 0, 2)
+        U = _scheduled_channels(snap, q).transpose(1, 0, 2)
     else:
-        Y = pilots.S @ combined_channel(snap.direct_rows, q, snap.G)
+        U = combined_channel(snap.direct_rows, q, snap.G)
     if rng is not None:
-        scale = np.sqrt(snap.sigma2 / 2.0)
-        z = rng.standard_normal(Y.shape[:-2] + (2,) + Y.shape[-2:])
-        z *= scale
-        Y.real += z[..., 0, :, :]
-        Y.imag += z[..., 1, :, :]
-    return Y
+        T = pilots.T
+        z = rng.standard_normal(U.shape[:-2] + (2, T, snap.M))
+        # each block's parts interleaved as one complex (T, M) block, and
+        # every block projected by S^H with the noise scale and 1 / (P_i T)
+        # folded in: the same product per block as a single call makes
+        z = np.moveaxis(z, -3, -1).copy().view(complex)[..., 0]
+        S_H = pilots.S.conj().T * (np.sqrt(snap.sigma2 / 2.0)
+                                   / (pilots.powers * T))[:, None]
+        U += S_H @ z
+    return U
 
 
-def estimate_direct(Y0: np.ndarray, Y1: np.ndarray, pilots: PilotBook) -> np.ndarray:
-    """LS direct-channel estimate (M x I) from the +/- reflection pair:
-    Hd^H = S^H (Y0 + Y1) / (2 P_i T)."""
-    Y = np.asarray(Y0) + np.asarray(Y1)
-    Hd_H = pilots.S.conj().T @ Y / (2.0 * pilots.powers * pilots.T)[:, None]
-    return Hd_H.conj().T
+def _rows(U, pilots: PilotBook) -> np.ndarray:
+    """U as complex pilot observations, checked to hold one row per IoT."""
+    U = np.asarray(U, dtype=complex)
+    if U.ndim < 2 or U.shape[-2] != pilots.I:
+        raise ValueError("need pilot observations with one row per IoT")
+    return U
 
 
-def estimate_cascaded(Yb, pilots: PilotBook, Hd_hat: np.ndarray,
+def estimate_direct(U0, U1, pilots: PilotBook) -> np.ndarray:
+    """LS direct-channel estimate (M x I) from the observations of the +/-
+    reflection pair: Hd^H = (U0 + U1) / 2."""
+    return ((_rows(U0, pilots) + _rows(U1, pilots)) / 2.0).conj().T
+
+
+def estimate_cascaded(Ub, pilots: PilotBook, Hd_hat: np.ndarray,
                       sched: ReflectionSchedule) -> np.ndarray:
     """LS cascaded-channel estimates of all IoTs as one (I, N, M) tensor,
-    from the (B, T, M) blocks received under the scheduled reflections.
+    from the (B, I, M) observations under the scheduled reflections.
 
-    Each IoT's projection u is normalized by its pilot energy P_i * T, and
-    the schedule's normal matrix is B I, so G is the first N points of
-    fft(u) over the sub-frames, divided by B.
+    The schedule's normal matrix is B I, so G is the first N points of the
+    FFT over the sub-frames of U_b - Hd_hat^H, divided by B.
     """
-    Yb = np.asarray(Yb, dtype=complex)
-    if Yb.ndim != 3 or Yb.shape[0] != sched.B:
-        raise ValueError("need one received block per scheduled reflection")
-    B, T, M = Yb.shape
-    resid = Yb - pilots.S @ np.asarray(Hd_hat, dtype=complex).conj().T
-    # the B residual blocks side by side, (T, B M), projected by one GEMM:
-    # u[i, b] = s_i r_b / (P_i T), the row IoT i sees in sub-frame b
-    resid = resid.transpose(1, 0, 2).reshape(T, B * M)
-    u = pilots.S.conj().T @ resid / (pilots.powers * T)[:, None]
-    G = np.fft.fft(u.reshape(-1, B, M), axis=1)[:, :sched.N]
-    return G / sched.B
+    Ub = _rows(Ub, pilots)
+    if Ub.ndim != 3 or Ub.shape[0] != sched.B:
+        raise ValueError("need one observation per scheduled reflection")
+    resid = (Ub - np.asarray(Hd_hat, dtype=complex).conj().T).transpose(1, 0, 2)
+    return np.fft.fft(resid, axis=1)[:, :sched.N] / sched.B
 
 
 def pilot_overhead_symbols(B: int, T: int) -> int:

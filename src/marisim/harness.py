@@ -118,11 +118,16 @@ def deploy_iots(mean_count: float, radius: float, center, rng,
 # arrays grow with products of counts, the drawn IoT count among them.
 MAX_INTERVAL_ELEMENTS = 2 ** 24
 
+# Trials per sweep cell: a trial's record takes about 4.7 KB at the full
+# scenario, so one cell's records stay under about 0.5 GB.
+MAX_TRIALS = 100_000
+
 
 def _check_interval_size(count: int, T: int, B: int, M: int) -> None:
     """Raise ConfigError before an interval of count IoTs, pilot length T,
     B sub-frames and M antennas allocates an array past
-    MAX_INTERVAL_ELEMENTS."""
+    MAX_INTERVAL_ELEMENTS; the sounding draws its noise as (B + 2) blocks of
+    T x M."""
     for what, size in (("pilot book", T * count),
                        ("sounding blocks", (B + 2) * T * M),
                        ("solver's Schur test", (count * M) ** 2)):
@@ -210,10 +215,10 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     pilots = estimation.make_orthogonal_pilots(count, T, powers)
     sched = estimation.make_reflection_schedule(N, B)
     noise_rng = None if cfg.estimation.noiseless else rng
-    Y = estimation.simulate_pilot_rx(snap, sched, pilots, noise_rng)
-    Hd_hat = estimation.estimate_direct(Y[0], Y[1], pilots)
-    G_hat = estimation.estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
-    del Y   # free the (B + 2, T, M) pilot blocks before the solver
+    U = estimation.simulate_pilot_rx(snap, sched, pilots, noise_rng)
+    Hd_hat = estimation.estimate_direct(U[0], U[1], pilots)
+    G_hat = estimation.estimate_cascaded(U[2:], pilots, Hd_hat, sched)
+    del U   # free the (B + 2, I, M) pilot observations before the solver
 
     snap_est = ris_system.NetworkSnapshot(H_d=Hd_hat, G=G_hat, P_t=powers,
                                           sigma2=sigma2,
@@ -314,16 +319,25 @@ def _ordered_map(fn, items, width: int):
 def _map_trials(cells, trials: int, n_jobs: int):
     """Generator of the TrialRecords of each (cell index, config) in cells,
     trials per cell, cell by cell and in trial order, on at most n_jobs
-    processes, one per trial and per CPU (see _map_width).
+    processes, one per trial and per CPU (see _map_width).  The tasks are a
+    range of (cell, trial) numbers, decoded as they run.
 
-    Raises ConfigError for trials or n_jobs below 1 before any trial runs."""
+    Raises ConfigError for trials outside [1, MAX_TRIALS] or n_jobs below 1
+    before any trial runs."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"trials must be <= {MAX_TRIALS}")
     if n_jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    tasks = [(cfg, cell_idx, k) for cell_idx, cfg in cells
-             for k in range(trials)]
-    return _ordered_map(_trial_worker, tasks, _map_width(len(tasks), n_jobs))
+    cells = list(cells)
+
+    def trial(t):
+        cell_idx, cfg = cells[t // trials]
+        return _trial_worker((cfg, cell_idx, t % trials))
+
+    tasks = range(len(cells) * trials)
+    return _ordered_map(trial, tasks, _map_width(len(tasks), n_jobs))
 
 
 def run_cell(cfg: ScenarioConfig, trials: int, *, cell_idx: int = 0,

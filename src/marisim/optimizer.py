@@ -237,9 +237,13 @@ def randomize(sol: SdpSolution, R: int, obj: HomogenizedObjective, rng) -> np.nd
     n, r = sol.U.shape
     E = (rng.standard_normal((R, r)) + 1j * rng.standard_normal((R, r))) / np.sqrt(2.0)
     Vs = E @ sol.U.T                                       # (R, n) draws
-    # the row-form phases of [q, 1] follow from the conjugated ratio of the
-    # column-convention draw against its last entry
-    rows = np.vstack([np.ones(n), np.exp(1j * np.angle(Vs.conj() * Vs[:, -1:]))])
+    # the row-form phases of [q, 1] are z / |z|, z the conjugated ratio of
+    # the column-convention draw against its last entry; z = 0 keeps 1, as
+    # exp(1j * angle(0)) would
+    z = Vs.conj() * Vs[:, -1:]
+    mag = np.abs(z)
+    rows = np.ones((R + 1, n), dtype=complex)
+    np.divide(z, mag, out=rows[1:], where=mag > 0)
     return rows[int(np.argmax(_values(obj, rows))), :-1]
 
 

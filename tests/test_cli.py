@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -242,10 +243,47 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["sweep", "--var", "hr0", "--values", "5", "--jobs", "0"],
     ["sweep", "--var", "hr0", "--values", "5", "--jobs", "-3"],
     ["los-prob", "--seed", "-1"],                     # the scenario's rule
+    ["sweep", "--var", "hr0", "--values", "5", "--trials", "100001"],  # cap
 ])
 def test_usage_and_config_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "config error" in capsys.readouterr().err
+
+
+# Run in a child interpreter, so that the start method is set before any
+# map runs, as Python 3.14 sets it by default on Linux.
+FORKSERVER_SWEEP_SCRIPT = """
+import multiprocessing, sys
+from marisim import cli
+
+multiprocessing.set_start_method("forkserver")
+ini, out = sys.argv[1:]
+sys.exit(cli.main(["sweep", "--config", ini, "--var", "hr0", "--values",
+                   "5,7", "--trials", "2", "--jobs", "2", "--out", out]))
+"""
+
+
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the forkserver start method")
+def test_jobs_kept_in_one_process_say_so(tiny_ini, tmp_path, capsys):
+    """Without the fork start method --jobs 2 runs in one process: it says
+    so on one stderr line and writes the --jobs 1 bytes."""
+    serial = tmp_path / "serial.csv"
+    assert main(["sweep", "--config", tiny_ini, "--var", "hr0", "--values",
+                 "5,7", "--trials", "2", "--out", str(serial)]) == 0
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "forkserver.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(marisim.__file__).resolve().parents[1]),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", FORKSERVER_SWEEP_SCRIPT,
+                           tiny_ini, str(out)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "note: --jobs 2 runs in one process: helpers are forked only with "
+        "the fork start method, no other thread alive and more than one CPU"]
+    assert out.read_bytes() == serial.read_bytes()
 
 
 def test_bad_config_file_exits_1(tmp_path, capsys):

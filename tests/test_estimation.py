@@ -37,9 +37,9 @@ def random_snapshot(rng, N, M, I, sigma2=1.0):
 def run_pipeline(snap, B, T, noise_rng=None):
     pilots = make_orthogonal_pilots(snap.I, T, snap.P_t)
     sched = make_reflection_schedule(snap.N, B)
-    Y = simulate_pilot_rx(snap, sched, pilots, noise_rng)
-    Hd_hat = estimate_direct(Y[0], Y[1], pilots)
-    G_hat = estimate_cascaded(Y[2:], pilots, Hd_hat, sched)
+    U = simulate_pilot_rx(snap, sched, pilots, noise_rng)
+    Hd_hat = estimate_direct(U[0], U[1], pilots)
+    G_hat = estimate_cascaded(U[2:], pilots, Hd_hat, sched)
     assert G_hat.shape == (snap.I, snap.N, snap.M)
     return Hd_hat, G_hat
 
@@ -143,17 +143,18 @@ def fft_snapshot(rng, N, M=2, I=3, sigma2=1.0):
 
 @pytest.mark.parametrize("N, B", [(5, 5), (5, 8), (360, 360)])
 def test_schedule_sounding_equals_per_row_sounding(N, B):
-    """Sounding the schedule through the FFT gives the blocks of sounding
-    q0, q1 and every scheduled_reflection(b) through combined_channel."""
+    """Sounding the schedule through the FFT observes the combined channel
+    rows of q0, q1 and every scheduled_reflection(b), as combined_channel
+    forms them."""
     rng = np.random.default_rng([16, N, B])
     snap, pilots = fft_snapshot(rng, N)
     sched = make_reflection_schedule(N, B)
-    Y = simulate_pilot_rx(snap, sched, pilots)
-    assert Y.shape == (B + 2, pilots.T, snap.M)
-    ref = np.stack([pilots.S @ combined_channel(snap.direct_rows, q, snap.G)
+    U = simulate_pilot_rx(snap, sched, pilots)
+    assert U.shape == (B + 2, snap.I, snap.M)
+    ref = np.stack([combined_channel(snap.direct_rows, q, snap.G)
                     for q in reflection_stack(sched)])
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(Y - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(U - ref)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("N, B", [(5, 5), (5, 8)])
@@ -172,9 +173,11 @@ def test_schedule_sounding_draws_the_stacked_noise(N, B):
                - simulate_pilot_rx(snap, Q, pilots))
     assert np.max(np.abs(noise - stacked)) <= 1e-12 * np.max(np.abs(stacked))
     assert sched_rng.bit_generator.state == stack_rng.bit_generator.state
-    # each block's real then imaginary (T, M) part, at sigma2 / 2 each
+    # each block's real then imaginary (T, M) part, at sigma2 / 2 each,
+    # projected by S^H / (P_i T)
     z = np.random.default_rng(18).standard_normal((B + 2, 2, pilots.T, snap.M))
     drawn = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(snap.sigma2 / 2.0)
+    drawn = pilots.S.conj().T @ drawn / (pilots.powers * pilots.T)[:, None]
     assert np.max(np.abs(noise - drawn)) <= 1e-12 * np.max(np.abs(drawn))
 
 
@@ -188,20 +191,17 @@ def test_schedule_sounding_rejects_another_element_count():
 @pytest.mark.parametrize("N, B", [(5, 5), (5, 8), (360, 360)])
 def test_fft_least_squares_is_the_closed_form_matched_filter(N, B):
     """Stage-two LS equals G[n] = sum_b exp(-2 pi j n b / B) u[b] / B with
-    u[b, i] = s_i^H (Y_b - S Hd_hat^H) / (P_i T), built here without FFT."""
+    u[b] = U_b - Hd_hat^H, built here without FFT."""
     rng = np.random.default_rng([20, N, B])
     M, I, T = 2, 3, 4
-    P = rng.uniform(0.5, 2.0, I)
-    pilots = make_orthogonal_pilots(I, T, P)
-    Yb = rng.standard_normal((B, T, M)) + 1j * rng.standard_normal((B, T, M))
+    pilots = make_orthogonal_pilots(I, T, rng.uniform(0.5, 2.0, I))
+    Ub = rng.standard_normal((B, I, M)) + 1j * rng.standard_normal((B, I, M))
     Hd_hat = rng.standard_normal((M, I)) + 1j * rng.standard_normal((M, I))
-    S = pilots.S
-    u = np.einsum("ti,btm->bim", S.conj(), Yb - S @ Hd_hat.conj().T)
-    u /= (P * T)[:, None]
+    u = Ub - Hd_hat.conj().T
     n, b = np.arange(N)[:, None], np.arange(B)[None, :]
     F = np.exp(-2j * np.pi * n * b / B)
     expected = np.einsum("nb,bim->inm", F, u) / B
-    G_hat = estimate_cascaded(Yb, pilots, Hd_hat, make_reflection_schedule(N, B))
+    G_hat = estimate_cascaded(Ub, pilots, Hd_hat, make_reflection_schedule(N, B))
     assert G_hat.shape == (I, N, M)
     assert np.max(np.abs(G_hat - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -241,43 +241,63 @@ def test_noise_perturbs_but_tracks_the_truth():
 
 
 def test_closed_forms_are_the_least_squares_solution():
-    """On a noisy, overdetermined sounding both matched filters equal the
-    least-squares solution of the stacked pilot and reflection model."""
+    """On a noisy, overdetermined sounding both matched filters, run on the
+    sounding's observations, equal the least-squares solution of the stacked
+    pilot and reflection model on the received blocks Y = S rows + noise
+    that the observations project: the projection loses nothing."""
     rng = np.random.default_rng(12)
     N, M, I, B, T = 5, 2, 3, 8, 4   # B > N, T > I
     snap = random_snapshot(rng, N, M, I, sigma2=0.3)
     pilots = make_orthogonal_pilots(I, T, snap.P_t)
     sched = make_reflection_schedule(N, B)
-    Y = simulate_pilot_rx(snap, sched, pilots, rng)
+    U = simulate_pilot_rx(snap, sched, pilots, np.random.default_rng(13))
     S = pilots.S
+    # the received blocks, with the noise the sounding drew
+    rows = np.stack([combined_channel(snap.direct_rows, q, snap.G)
+                     for q in reflection_stack(sched)])
+    z = np.random.default_rng(13).standard_normal((B + 2, 2, T, M))
+    Y = S @ rows + (z[:, 0] + 1j * z[:, 1]) * np.sqrt(snap.sigma2 / 2.0)
 
     # stage one: Y0 = S (Hd^H + R), Y1 = S (Hd^H - R), R the RIS term
     A = np.block([[S, S], [S, -S]])
     X = np.linalg.lstsq(A, np.vstack([Y[0], Y[1]]), rcond=None)[0]
-    Hd_hat = estimate_direct(Y[0], Y[1], pilots)
+    Hd_hat = estimate_direct(U[0], U[1], pilots)
     assert np.linalg.norm(Hd_hat - X[:I].conj().T) <= 1e-10 * np.linalg.norm(X[:I])
 
-    # stage two: Y_b - S Hd_hat^H = sum_i S[:, i] q_b G_i over the B blocks
-    resid = Y[2:] - S @ Hd_hat.conj().T
+    # stage two: Y_b - S Hd^H = sum_i S[:, i] q_b G_i over the B blocks
+    resid = Y[2:] - S @ X[:I]
     A = np.vstack([np.kron(S, sched.scheduled_reflection(b)[None, :])
                    for b in range(B)])
     G = np.linalg.lstsq(A, resid.reshape(B * T, M), rcond=None)[0]
     G = G.reshape(I, N, M)
-    G_hat = estimate_cascaded(list(Y[2:]), pilots, Hd_hat, sched)
+    G_hat = estimate_cascaded(list(U[2:]), pilots, Hd_hat, sched)
     assert np.linalg.norm(G_hat - G) <= 1e-10 * np.linalg.norm(G)
 
 
+def test_estimators_reject_received_blocks():
+    """A received (T, M) block with T != I has no row per IoT: neither LS
+    stage takes it for an observation."""
+    rng = np.random.default_rng(21)
+    pilots = make_orthogonal_pilots(3, 4, np.ones(3))
+    sched = make_reflection_schedule(5, 5)
+    Y = rng.standard_normal((7, 4, 2)) + 1j * rng.standard_normal((7, 4, 2))
+    with pytest.raises(ValueError, match="one row per IoT"):
+        estimate_direct(Y[0], Y[1], pilots)
+    with pytest.raises(ValueError, match="one row per IoT"):
+        estimate_cascaded(Y[2:], pilots, np.zeros((2, 3)), sched)
+
+
 def test_stacked_sounding_equals_single_calls():
-    """A (K, N) stack of reflections gives the K blocks of K single calls,
-    and draws the noise in the same order from the same generator."""
+    """A (K, N) stack of reflections gives the K observations of K single
+    calls, and draws the noise in the same order from the same generator."""
     rng = np.random.default_rng(14)
     snap = random_snapshot(rng, N=5, M=2, I=3)
     pilots = make_orthogonal_pilots(3, 4, snap.P_t)
     Q = reflection_stack(make_reflection_schedule(5, 7))
-    Y = simulate_pilot_rx(snap, Q, pilots)
-    assert Y.shape == (9, 4, 2)
+    U = simulate_pilot_rx(snap, Q, pilots)
+    assert U.shape == (9, 3, 2)
     for k in range(9):
-        assert np.allclose(Y[k], simulate_pilot_rx(snap, Q[k], pilots),
+        assert np.allclose(U[k], simulate_pilot_rx(snap, Q[k], pilots),
                            rtol=1e-12, atol=1e-12)
     # integer channels and quarter-turn reflections make every product
     # exact, so stacked and single calls must agree to the bit
@@ -288,9 +308,9 @@ def test_stacked_sounding_equals_single_calls():
     for seed in (None, 15):
         stack_rng = None if seed is None else np.random.default_rng(seed)
         single_rng = None if seed is None else np.random.default_rng(seed)
-        Y = simulate_pilot_rx(exact, Q, pilots, stack_rng)
+        U = simulate_pilot_rx(exact, Q, pilots, stack_rng)
         singles = [simulate_pilot_rx(exact, q, pilots, single_rng) for q in Q]
-        assert np.array_equal(Y, np.stack(singles))
+        assert np.array_equal(U, np.stack(singles))
 
 
 def test_pilot_rx_rejects_mismatched_book():

@@ -216,7 +216,30 @@ def test_jobs_below_one_raise_before_any_interval(monkeypatch):
         run_cell(small_cfg(), trials=2, n_jobs=0)
     with pytest.raises(ConfigError, match="jobs must be >= 1"):
         run_sweep(small_cfg(), "hr0", [5.0, 7.0], trials=2, n_jobs=-1)
+    with pytest.raises(ConfigError, match="trials must be <= 100000"):
+        run_cell(small_cfg(), trials=harness.MAX_TRIALS + 1)
     assert calls == []
+
+
+def test_trial_tasks_take_no_memory_before_the_first_interval(monkeypatch):
+    """A cell's MAX_TRIALS tasks are a range, decoded as they run: mapping
+    them allocates under 1 MB before the first interval, where a list of
+    (cfg, cell, trial) tuples took about 10 MB."""
+    allocated = []
+
+    def interval(cfg, interval_idx, rng):
+        allocated.append(tracemalloc.get_traced_memory()[0] - start)
+
+    monkeypatch.setattr(harness, "run_coherence_interval", interval)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        records = harness._map_trials([(0, small_cfg())], harness.MAX_TRIALS, 1)
+        next(records)
+        records.close()
+    finally:
+        tracemalloc.stop()
+    assert len(allocated) == 1 and allocated[0] < 1 << 20, allocated
 
 
 def test_noiseless_ris_never_loses_to_direct():
