@@ -1,9 +1,12 @@
-"""Maritime path loss and complex channel synthesis for direct and RIS links.
+"""Maritime path loss, the interval's fading draws, and complex channel
+synthesis for direct and RIS links.
 
 Everything here is array-valued: the path-loss models broadcast over
-distances, heights and shadowing, and the synthesis functions take a batch
-node (position (I, 2)) and return one channel per IoT. draw_link_fading
-draws the random terms IoT by IoT, so the trial RNG stream keeps its order.
+distances, heights and shadowing, and the synthesis functions take IoT
+positions (I, 2), the receiver position, antenna heights and fading draws
+and return one channel per IoT.  How the sea moves the antennas is the
+caller's to know; synthesis only floors the heights it evaluates loss at.
+draw_link_fading is the one place that draws, in trial-stream order.
 """
 
 from __future__ import annotations
@@ -12,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import sea_surface
-from .sea_surface import FloatingNode, WaveField
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -119,11 +119,15 @@ def path_loss_free_space(d, f_c: float):
 
 
 def draw_link_fading(los, p: PathLossParams, rng):
-    """Random terms of I IoT links, drawn IoT by IoT: the direct link's
-    shadowing (sigma_los or sigma_nlos by its LoS flag), a uniform phase if
-    it is NLoS, then the RIS-incident link's shadowing. A zero sigma draws
-    nothing. Returns the (I,) direct shadowing, NLoS phases (0 on LoS
-    links) and incident shadowing, in dB and radians."""
+    """Random terms of one interval's links, in trial-stream order: first the
+    RIS->receiver segment's shadowing, one draw per interval shared by every
+    IoT's cascade, since that segment is one physical link; then, IoT by IoT,
+    the direct link's shadowing (sigma_los or sigma_nlos by its LoS flag), a
+    uniform phase if it is NLoS, and the RIS-incident link's shadowing.  A
+    zero sigma draws nothing.  Returns the departure shadowing and the (I,)
+    direct shadowing, NLoS phases (0 on LoS links) and incident shadowing,
+    in dB and radians."""
+    xi_departure = rng.normal(0.0, p.sigma_los) if p.sigma_los > 0 else 0.0
     los = np.asarray(los, dtype=bool)
     xi_direct = np.zeros(los.shape)
     phase = np.zeros(los.shape)
@@ -136,7 +140,7 @@ def draw_link_fading(los, p: PathLossParams, rng):
             phase[i] = rng.uniform(0.0, 2.0 * np.pi)
         if p.sigma_los > 0:
             xi_incident[i] = rng.normal(0.0, p.sigma_los)
-    return xi_direct, phase, xi_incident
+    return xi_departure, xi_direct, phase, xi_incident
 
 
 def ula_steering_phases(M: int, azimuth) -> np.ndarray:
@@ -146,22 +150,21 @@ def ula_steering_phases(M: int, azimuth) -> np.ndarray:
     return -np.pi * np.arange(M) * sin_az[..., None]
 
 
-def synthesize_direct_channel(iots: FloatingNode, rx: FloatingNode,
-                              wave: WaveField, t: float, los, M: int,
+def synthesize_direct_channel(positions, rx_position, h_t, h_r, los, M: int,
                               p: PathLossParams, xi, nlos_phase) -> np.ndarray:
     """Direct IoT->receiver channel rows for one coherence interval: (I, M)
-    for a batch node of I IoTs.
+    for IoTs at antenna heights h_t (I,) and a receiver at height h_r.
 
-    `los` holds the links' sea_surface.los_state at time t; `xi` and
-    `nlos_phase` are draw_link_fading's direct shadowing and NLoS phases.
-    Every link must be at least d_0 long."""
+    `los` holds the links' LoS flags; `xi` and `nlos_phase` are
+    draw_link_fading's direct shadowing and NLoS phases.  Every link must be
+    at least d_0 long."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    pos = np.asarray(iots.position, dtype=float)
-    h_t = np.maximum(sea_surface.antenna_height(iots, wave, t), MIN_LOSS_HEIGHT)
-    h_r = max(sea_surface.antenna_height(rx, wave, t), MIN_LOSS_HEIGHT)
-    dx = pos[..., 0] - rx.position[0]
-    dy = pos[..., 1] - rx.position[1]
+    pos = np.asarray(positions, dtype=float)
+    h_t = np.maximum(h_t, MIN_LOSS_HEIGHT)
+    h_r = np.maximum(h_r, MIN_LOSS_HEIGHT)
+    dx = pos[..., 0] - rx_position[0]
+    dy = pos[..., 1] - rx_position[1]
     d = np.hypot(dx, dy)
     L = np.where(los, path_loss_los(d, h_t, h_r, p, xi),
                  path_loss_nlos(d, p, xi))
@@ -185,15 +188,13 @@ def _aperture_phases(element_positions: np.ndarray, center: np.ndarray,
     return -2.0 * np.pi * path / lam
 
 
-def ris_incident_vector(iots: FloatingNode, elements: np.ndarray,
-                        wave: WaveField, t: float, p: PathLossParams,
-                        xi) -> np.ndarray:
-    """IoT -> RIS segment channels, (I, N) for a batch node of I IoTs and the
-    (N, 3) RIS element positions; the segment is always LoS and `xi` is
-    draw_link_fading's incident shadowing."""
+def ris_incident_vector(positions, h_iot, elements: np.ndarray,
+                        p: PathLossParams, xi) -> np.ndarray:
+    """IoT -> RIS segment channels, (I, N) for IoTs at antenna heights h_iot
+    (I,) and the (N, 3) RIS element positions; the segment is always LoS and
+    `xi` is draw_link_fading's incident shadowing."""
     center = elements.mean(axis=0)
-    pos = np.asarray(iots.position, dtype=float)
-    h_iot = sea_surface.antenna_height(iots, wave, t)
+    pos = np.asarray(positions, dtype=float)
     d = np.hypot(pos[..., 0] - center[0], pos[..., 1] - center[1])
     L = path_loss_los(d, np.maximum(h_iot, MIN_LOSS_HEIGHT), center[2], p, xi)
     amp = 10.0 ** ((p.G_t - L) / 20.0)
@@ -202,20 +203,18 @@ def ris_incident_vector(iots: FloatingNode, elements: np.ndarray,
                                                          target, p.lam))
 
 
-def ris_departure_matrix(elements: np.ndarray, rx: FloatingNode,
-                         wave: WaveField, t: float, M: int, p: PathLossParams,
-                         rng) -> np.ndarray:
+def ris_departure_matrix(elements: np.ndarray, rx_position, h_rx, M: int,
+                         p: PathLossParams, xi) -> np.ndarray:
     """RIS -> receiver segment matrix (N x M) from the (N, 3) RIS element
-    positions; always LoS, with one shadowing draw."""
+    positions to a receiver at height h_rx; always LoS, and `xi` is
+    draw_link_fading's departure shadowing."""
     center = elements.mean(axis=0)
-    h_rx = sea_surface.antenna_height(rx, wave, t)
-    d = math.dist((center[0], center[1]), rx.position)
-    xi = rng.normal(0.0, p.sigma_los) if p.sigma_los > 0 else 0.0
-    L = path_loss_los(d, center[2], max(h_rx, MIN_LOSS_HEIGHT), p, xi)
+    d = math.dist((center[0], center[1]), rx_position)
+    L = path_loss_los(d, center[2], np.maximum(h_rx, MIN_LOSS_HEIGHT), p, xi)
     amp = 10.0 ** ((-L + p.G_r) / 20.0)
-    target = np.array([rx.position[0], rx.position[1], h_rx])
+    target = np.array([rx_position[0], rx_position[1], h_rx])
     element = _aperture_phases(elements, center, target, p.lam)
-    az = math.atan2(center[1] - rx.position[1], center[0] - rx.position[0])
+    az = math.atan2(center[1] - rx_position[1], center[0] - rx_position[0])
     steer = ula_steering_phases(M, az)
     return amp * np.exp(1j * (element[:, None] + steer[None, :]))
 

@@ -173,7 +173,7 @@ def _check_objective_identity():
     snap = _random_instance(rng, N=5, M=3, I=2)
     obj = optimizer.build_D(snap)
     q = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-    rows = ris_system.combined_channel(snap.direct_rows, q, snap.G)
+    rows = ris_system.combined_channel(snap, q)
     direct = np.sum(snap.P_t * np.sum(np.abs(rows) ** 2, axis=1))
     val = optimizer.reflection_objective(obj, q)
     assert abs(val - direct) <= 1e-9 * abs(direct), f"{val} vs {direct}"

@@ -161,6 +161,8 @@ class ScenarioConfig:
             raise ConfigError("interval_duration_s must be positive")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if self.b_effective < self.radio.n_elements:
+            raise ConfigError("b_subframes must be >= n_elements for full rank")
 
     @property
     def b_effective(self) -> int:

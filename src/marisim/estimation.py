@@ -129,7 +129,7 @@ def simulate_pilot_rx(snap: NetworkSnapshot, q, pilots: PilotBook, rng=None) -> 
     if isinstance(q, ReflectionSchedule):
         U = _scheduled_channels(snap, q).transpose(1, 0, 2)
     else:
-        U = combined_channel(snap.direct_rows, q, snap.G)
+        U = combined_channel(snap, q)
     if rng is not None:
         T = pilots.T
         z = rng.standard_normal(U.shape[:-2] + (2, T, snap.M))

@@ -122,6 +122,10 @@ MAX_INTERVAL_ELEMENTS = 2 ** 24
 # scenario, so one cell's records stay under about 0.5 GB.
 MAX_TRIALS = 100_000
 
+# Cells per sweep: every cell's config is built before the first trial, at
+# about 0.4 KB each, so a sweep's configs stay under about 4 MB.
+MAX_CELLS = 10_000
+
 
 def _check_interval_size(count: int, T: int, B: int, M: int) -> None:
     """Raise ConfigError before an interval of count IoTs, pilot length T,
@@ -166,11 +170,13 @@ def _relative_error(est, truth) -> float:
 
 def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> TrialRecord:
     """One block-fading interval: redraw the sea and the deployment, harvest
-    power, sound the channels, optimize on the estimates, score on the truth."""
+    power, sound the channels, optimize on the estimates, score on the truth.
+
+    Here the sea meets the radio: the wave sets the links' LoS flags and each
+    side's antenna heights, read once, and channel synthesis takes those
+    arrays with the positions and draw_link_fading's draws."""
     N = cfg.radio.n_elements
     B = cfg.b_effective
-    if B < N:
-        raise ConfigError("b_subframes must be >= n_elements for full rank")
     state = sea_surface.sea_state(cfg.sea_state)
     wave = sea_surface.wave_from_sea_state(state, cfg.geometry.wave_source)
     t = float(rng.uniform(0.0, wave.T_wave))
@@ -197,17 +203,19 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
         return _zero_record(cfg, interval_idx, positions, powers, flags, overhead)
 
     p = cfg.radio.pathloss
+    M = cfg.radio.m_antennas
     sigma2 = cfg.radio.sigma2_w
     ris = ris_system.make_planar_ris(N, cfg.geometry.ris_center, p.lam)
-    # the RIS->receiver segment is one physical link: one shadowing draw
-    # per interval, shared by every IoT's cascade; the per-IoT draws follow
-    F = channel.ris_departure_matrix(ris, rx, wave, t, cfg.radio.m_antennas, p, rng)
-    xi_direct, nlos_phase, xi_incident = channel.draw_link_fading(flags, p, rng)
-    rows = channel.synthesize_direct_channel(batch, rx, wave, t, flags,
-                                             cfg.radio.m_antennas, p,
-                                             xi_direct, nlos_phase)
+    h_iot = sea_surface.antenna_height(batch, wave, t)
+    h_rx = sea_surface.antenna_height(rx, wave, t)
+    xi_departure, xi_direct, nlos_phase, xi_incident = (
+        channel.draw_link_fading(flags, p, rng))
+    F = channel.ris_departure_matrix(ris, rx.position, h_rx, M, p, xi_departure)
+    rows = channel.synthesize_direct_channel(positions, rx.position, h_iot,
+                                             h_rx, flags, M, p, xi_direct,
+                                             nlos_phase)
     Hd = np.ascontiguousarray(rows.conj().T)
-    G = channel.cascade(channel.ris_incident_vector(batch, ris, wave, t, p,
+    G = channel.cascade(channel.ris_incident_vector(positions, h_iot, ris, p,
                                                     xi_incident), F)
     snap = ris_system.NetworkSnapshot(H_d=Hd, G=G, P_t=powers,
                                       sigma2=sigma2, beta=cfg.radio.beta_hz)
@@ -369,7 +377,8 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int, *,
     variable IS the sea state); returns one aggregate row per cell.
 
     Every cell's config is built before any trial runs, so an invalid value
-    raises ConfigError first.  All (cell, trial) tasks then run through one
+    raises ConfigError first; so does a sweep of more than MAX_CELLS cells,
+    before any config is built.  All (cell, trial) tasks then run through one
     ordered map on at most n_jobs processes, one per task and per CPU, trial
     k of cell c seeded by (cfg.seed, c, k).  On a failure inside a trial the
     completed rows are flushed to flush_path (when given) before the error
@@ -383,10 +392,14 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int, *,
     if variable == "sea":
         if sea_states is not None:
             raise ConfigError("a sea-state sweep fixes the states itself")
-        cells = [(v, sea_level(v)) for v in values]
+        states = [None]
     else:
         states = [cfg.sea_state] if sea_states is None else list(sea_states)
-        cells = [(v, int(s)) for v in values for s in states]
+    count = len(values) * len(states)
+    if count > MAX_CELLS:
+        raise ConfigError(f"sweep has {count} cells, over the {MAX_CELLS} cap")
+    cells = [(v, sea_level(v) if s is None else int(s))
+             for v in values for s in states]
 
     cfgs = []
     for value, state in cells:

@@ -95,20 +95,13 @@ def _check_unit_modulus(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def combined_channel(h_d: np.ndarray, q: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Effective channel rows h_d + q G.
-
-    q is one reflection (N,) or a stack (..., N). G is one N x M matrix with
-    h_d of shape (M,), or the (I, N, M) tensor with h_d of shape (I, M). The
-    result has shape q.shape[:-1] + h_d.shape.
-    """
+def combined_channel(snap: NetworkSnapshot, q) -> np.ndarray:
+    """Effective channel rows h_d + q G of every IoT: (..., I, M) for one
+    reflection q of shape (N,) or a stack (..., N)."""
     q = _check_unit_modulus(q)
-    h_d = np.asarray(h_d, dtype=complex)
-    G = np.asarray(G, dtype=complex)
-    if (G.ndim not in (2, 3) or G.shape[-2] != q.shape[-1]
-            or G.shape[:-2] + G.shape[-1:] != h_d.shape):
-        raise ValueError("G must be N x M or I x N x M, matching h_d and q")
-    return h_d + np.tensordot(q, G, axes=(-1, -2))
+    if q.shape[-1] != snap.N:
+        raise ValueError("reflection length must match the RIS size N")
+    return snap.direct_rows + np.tensordot(q, snap.G, axes=(-1, -2))
 
 
 def _capacity(snap: NetworkSnapshot, rows: np.ndarray) -> float:
@@ -119,7 +112,7 @@ def _capacity(snap: NetworkSnapshot, rows: np.ndarray) -> float:
 
 def sum_capacity(snap: NetworkSnapshot, q) -> float:
     """Uplink sum capacity (bit/s) under reflection q."""
-    return _capacity(snap, combined_channel(snap.direct_rows, q, snap.G))
+    return _capacity(snap, combined_channel(snap, q))
 
 
 def direct_capacity(snap: NetworkSnapshot) -> float:

@@ -24,7 +24,7 @@ def brute_force_phases(snap: NetworkSnapshot, levels: int):
     for start in range(0, total, BRUTE_FORCE_CHUNK):
         idx = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total))
         digits = (idx[:, None] // levels ** np.arange(N)[None, :]) % levels
-        rows = combined_channel(snap.direct_rows, phases[digits], snap.G)
+        rows = combined_channel(snap, phases[digits])
         val = np.sum(np.abs(rows) ** 2, axis=-1) @ snap.P_t
         k = int(np.argmax(val))
         if val[k] > best_val:

@@ -1,11 +1,13 @@
 """Propagation models: path loss branches, link draws, array responses."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from marisim import channel
 from marisim.channel import (
     PathLossParams,
     SPEED_OF_LIGHT,
@@ -23,13 +25,6 @@ from marisim.channel import (
     ula_steering_phases,
 )
 from marisim.ris_system import make_planar_ris
-from marisim.sea_surface import (
-    FloatingNode,
-    WaveField,
-    los_state,
-    sea_state,
-    wave_from_sea_state,
-)
 
 P = PathLossParams()
 
@@ -121,12 +116,11 @@ def test_db_conversions_roundtrip():
 
 
 def test_link_gain_conventions():
-    # on a flat sea the antennas sit at their mast heights: a LoS link has
-    # the frozen two-ray loss plus both antenna gains and the path phase
-    flat = WaveField(a=0.0, l=100.0, T_wave=10.0)
-    rx = FloatingNode((600.0, 0.0), 5.0)
-    iots = FloatingNode(np.array([[100.0, 0.0], [100.0, 0.0]]), 2.0)
-    row = synthesize_direct_channel(iots, rx, flat, 1.0, np.array([True, True]),
+    # antennas at 2 m and 5 m: a LoS link has the frozen two-ray loss plus
+    # both antenna gains and the path phase
+    iots, h_t = np.array([[100.0, 0.0], [100.0, 0.0]]), np.full(2, 2.0)
+    rx = (600.0, 0.0)
+    row = synthesize_direct_channel(iots, rx, h_t, 5.0, np.array([True, True]),
                                     1, P, np.zeros(2), np.zeros(2))
     assert np.abs(row) == pytest.approx(
         np.full((2, 1), 10.0 ** ((P.G_t - LOS_500 + P.G_r) / 20.0)))
@@ -134,10 +128,10 @@ def test_link_gain_conventions():
         float(np.mod(-2 * np.pi * 500.0 / P.lam, 2 * np.pi)))
     # an NLoS link takes its phase from the draws, uniform on [0, 2pi)
     flags = np.zeros(200, dtype=bool)
-    _, phases, _ = draw_link_fading(flags, P, np.random.default_rng(3))
+    _, _, phases, _ = draw_link_fading(flags, P, np.random.default_rng(3))
     assert 0.0 <= phases.min() and phases.max() < 2 * np.pi
     assert np.std(phases) > 1.0  # uniform, not deterministic
-    nlos = synthesize_direct_channel(iots, rx, flat, 1.0, np.array([False, False]),
+    nlos = synthesize_direct_channel(iots, rx, h_t, 5.0, np.array([False, False]),
                                      1, P, np.zeros(2), phases[:2])
     assert np.abs(nlos) == pytest.approx(
         np.full((2, 1), 10.0 ** ((P.G_t - NLOS_500 + P.G_r) / 20.0)))
@@ -154,10 +148,13 @@ def test_link_draws_keep_the_per_iot_stream_order(sigma_los, sigma_nlos):
     p = PathLossParams(sigma_los=sigma_los, sigma_nlos=sigma_nlos)
     flags = np.array([True, False, False, True])
     rng = np.random.default_rng(11)
-    xi_direct, phase, xi_incident = draw_link_fading(flags, p, rng)
-    # one IoT after the other: direct shadowing, NLoS phase, incident
-    # shadowing; a zero sigma draws nothing
+    xi_departure, xi_direct, phase, xi_incident = draw_link_fading(flags, p,
+                                                                   rng)
+    # the shared RIS->receiver shadowing first, then one IoT after the
+    # other: direct shadowing, NLoS phase, incident shadowing; a zero sigma
+    # draws nothing
     ref = np.random.default_rng(11)
+    dep = _shadowing(ref, sigma_los)
     d0 = _shadowing(ref, sigma_los)
     r0 = _shadowing(ref, sigma_los)
     d1 = _shadowing(ref, sigma_nlos)
@@ -168,6 +165,7 @@ def test_link_draws_keep_the_per_iot_stream_order(sigma_los, sigma_nlos):
     r2 = _shadowing(ref, sigma_los)
     d3 = _shadowing(ref, sigma_los)
     r3 = _shadowing(ref, sigma_los)
+    assert xi_departure == dep
     assert xi_direct.tolist() == [d0, d1, d2, d3]
     assert phase.tolist() == [0.0, ph1, ph2, 0.0]
     assert xi_incident.tolist() == [r0, r1, r2, r3]
@@ -182,18 +180,19 @@ def test_steering_phases_ramp():
 
 
 def fixture_scene():
-    wave = wave_from_sea_state(sea_state(4))
-    iots = FloatingNode(np.array([[60.0, 20.0], [-40.0, 90.0], [150.0, -70.0]]),
-                        2.0)
-    rx = FloatingNode((200.0, 0.0), 5.0)
+    """IoT positions and antenna heights, the receiver's position and
+    height, and a 12-element RIS."""
+    iots = np.array([[60.0, 20.0], [-40.0, 90.0], [150.0, -70.0]])
+    h_iot = np.array([2.4, 1.1, 2.9])
     ris = make_planar_ris(12, (0.0, 0.0, 35.0), P.lam)
-    return wave, iots, rx, ris
+    return iots, h_iot, (200.0, 0.0), 5.6, ris
 
 
 def test_direct_channel_row_shape_and_magnitude():
-    wave, iots, rx, _ = fixture_scene()
-    rows = synthesize_direct_channel(iots, rx, wave, 1.0, np.ones(3, dtype=bool),
-                                     8, P, np.zeros(3), np.zeros(3))
+    iots, h_iot, rx, h_rx, _ = fixture_scene()
+    rows = synthesize_direct_channel(iots, rx, h_iot, h_rx,
+                                     np.ones(3, dtype=bool), 8, P, np.zeros(3),
+                                     np.zeros(3))
     assert rows.shape == (3, 8)
     # one scalar gain per IoT on a steering ramp: each row shares a magnitude
     assert np.all(np.ptp(np.abs(rows), axis=1)
@@ -201,19 +200,20 @@ def test_direct_channel_row_shape_and_magnitude():
 
 
 def test_direct_channel_survives_a_submerged_antenna():
-    wave, iots, rx, _ = fixture_scene()
-    buried = FloatingNode(iots.position, 1e-6)  # mast far below the amplitude
-    flags = los_state(buried, rx, wave, 2.0)
-    xi, phase, _ = draw_link_fading(flags, P, np.random.default_rng(1))
-    rows = synthesize_direct_channel(buried, rx, wave, 2.0, flags, 4, P, xi,
+    iots, _, rx, _, _ = fixture_scene()
+    # troughs below the mean sea level, on both sides of the links
+    buried, h_rx = np.array([-0.9, 0.3, -1e-6]), -0.2
+    flags = np.array([True, False, True])
+    _, xi, phase, _ = draw_link_fading(flags, P, np.random.default_rng(1))
+    rows = synthesize_direct_channel(iots, rx, buried, h_rx, flags, 4, P, xi,
                                      phase)
     assert np.all(np.isfinite(rows))
 
 
 def test_ris_segments_shapes_and_rank():
-    wave, iots, rx, ris = fixture_scene()
-    h_r = ris_incident_vector(iots, ris, wave, 0.5, P, np.zeros(3))
-    F = ris_departure_matrix(ris, rx, wave, 0.5, 6, P, np.random.default_rng(2))
+    iots, h_iot, rx, h_rx, ris = fixture_scene()
+    h_r = ris_incident_vector(iots, h_iot, ris, P, np.zeros(3))
+    F = ris_departure_matrix(ris, rx, h_rx, 6, P, 1.2)
     assert h_r.shape == (3, 12)
     assert F.shape == (12, 6)
     # outer product of element phases and a steering ramp
@@ -223,27 +223,28 @@ def test_ris_segments_shapes_and_rank():
 
 
 def test_batch_synthesis_equals_one_iot_calls():
-    wave, iots, rx, ris = fixture_scene()
+    iots, h_iot, rx, h_rx, ris = fixture_scene()
     flags = np.array([True, False, True])
-    xi, phase, xi_r = draw_link_fading(flags, P, np.random.default_rng(5))
-    rows = synthesize_direct_channel(iots, rx, wave, 1.5, flags, 4, P, xi, phase)
-    h_r = ris_incident_vector(iots, ris, wave, 1.5, P, xi_r)
+    _, xi, phase, xi_r = draw_link_fading(flags, P, np.random.default_rng(5))
+    rows = synthesize_direct_channel(iots, rx, h_iot, h_rx, flags, 4, P, xi,
+                                     phase)
+    h_r = ris_incident_vector(iots, h_iot, ris, P, xi_r)
     for i in range(3):
         k = slice(i, i + 1)              # a batch of one buoy
-        one = FloatingNode(iots.position[k], iots.mast_height)
-        row = synthesize_direct_channel(one, rx, wave, 1.5, flags[k], 4, P,
-                                        xi[k], phase[k])
+        row = synthesize_direct_channel(iots[k], rx, h_iot[k], h_rx, flags[k],
+                                        4, P, xi[k], phase[k])
         assert row.shape == (1, 4)
         assert rows[i] == pytest.approx(row[0], rel=1e-12)
         assert h_r[i] == pytest.approx(
-            ris_incident_vector(one, ris, wave, 1.5, P, xi_r[k])[0], rel=1e-12)
+            ris_incident_vector(iots[k], h_iot[k], ris, P, xi_r[k])[0],
+            rel=1e-12)
 
 
 def test_cascade_is_elementwise_row_scaling():
-    wave, iots, rx, ris = fixture_scene()
+    iots, h_iot, rx, h_rx, ris = fixture_scene()
     rng = np.random.default_rng(4)
-    F = ris_departure_matrix(ris, rx, wave, 0.5, 6, P, rng)
-    h_r = ris_incident_vector(iots, ris, wave, 0.5, P, rng.normal(0.0, 3.5, 3))
+    F = ris_departure_matrix(ris, rx, h_rx, 6, P, rng.normal(0.0, 3.5))
+    h_r = ris_incident_vector(iots, h_iot, ris, P, rng.normal(0.0, 3.5, 3))
     G = cascade(h_r, F)
     assert G.shape == (3, 12, 6)
     for i in range(3):
@@ -253,7 +254,7 @@ def test_cascade_is_elementwise_row_scaling():
 
 
 def test_link_geometry_validation():
-    ris = fixture_scene()[3]
+    ris = fixture_scene()[4]
     # non-positive distances and LoS heights are rejected by the loss models
     with pytest.raises(ValueError):
         path_loss_los(np.array([100.0, 0.0]), 2.0, 5.0, P)
@@ -264,7 +265,17 @@ def test_link_geometry_validation():
         path_loss_free_space(np.array([10.0, -1.0]), P.f_c)
     # an antenna below the height floor is legal: synthesis floors it at
     # loss time
-    low = FloatingNode(np.array([[60.0, 20.0]]), 1e-6)
-    flat = WaveField(a=0.0, l=100.0, T_wave=10.0)
-    assert np.all(np.isfinite(ris_incident_vector(low, ris, flat, 0.0, P,
+    assert np.all(np.isfinite(ris_incident_vector(np.array([[60.0, 20.0]]),
+                                                  np.array([1e-6]), ris, P,
                                                   np.zeros(1))))
+
+
+def test_synthesis_takes_heights_and_draws_from_the_caller():
+    # the sea model stays outside this module, and one function draws
+    assert not any(getattr(value, "__module__", None) == "marisim.sea_surface"
+                   or getattr(value, "__name__", None) == "marisim.sea_surface"
+                   for value in vars(channel).values())
+    takes_rng = [name for name, fn in vars(channel).items()
+                 if inspect.isfunction(fn)
+                 and "rng" in inspect.signature(fn).parameters]
+    assert takes_rng == ["draw_link_fading"]

@@ -244,10 +244,20 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["sweep", "--var", "hr0", "--values", "5", "--jobs", "-3"],
     ["los-prob", "--seed", "-1"],                     # the scenario's rule
     ["sweep", "--var", "hr0", "--values", "5", "--trials", "100001"],  # cap
+    ["sweep", "--config", "B16_INI", "--var", "n", "--values", "8,32"],  # B < N
+    ["sweep", "--var", "hr0", "--values", ",".join(map(str, range(1, 102))),
+     "--states", ",".join(map(str, range(2, 102)))],  # 10 100 cells, over cap
 ])
-def test_usage_and_config_errors_exit_1(argv, capsys):
-    assert main(argv) == 1
+def test_usage_and_config_errors_exit_1(argv, capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_coherence_interval",
+                        lambda *args: calls.append(args))
+    ini = tmp_path / "b16.ini"   # 8 elements sounded in 16 sub-frames
+    ini.write_text(TINY_INI.replace("[estimation]\n",
+                                    "[estimation]\nb_subframes = 16\n"))
+    assert main([str(ini) if arg == "B16_INI" else arg for arg in argv]) == 1
     assert "config error" in capsys.readouterr().err
+    assert calls == []
 
 
 # Run in a child interpreter, so that the start method is set before any

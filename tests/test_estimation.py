@@ -151,7 +151,7 @@ def test_schedule_sounding_equals_per_row_sounding(N, B):
     sched = make_reflection_schedule(N, B)
     U = simulate_pilot_rx(snap, sched, pilots)
     assert U.shape == (B + 2, snap.I, snap.M)
-    ref = np.stack([combined_channel(snap.direct_rows, q, snap.G)
+    ref = np.stack([combined_channel(snap, q)
                     for q in reflection_stack(sched)])
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(U - ref)) <= 1e-12 * scale
@@ -253,7 +253,7 @@ def test_closed_forms_are_the_least_squares_solution():
     U = simulate_pilot_rx(snap, sched, pilots, np.random.default_rng(13))
     S = pilots.S
     # the received blocks, with the noise the sounding drew
-    rows = np.stack([combined_channel(snap.direct_rows, q, snap.G)
+    rows = np.stack([combined_channel(snap, q)
                      for q in reflection_stack(sched)])
     z = np.random.default_rng(13).standard_normal((B + 2, 2, T, M))
     Y = S @ rows + (z[:, 0] + 1j * z[:, 1]) * np.sqrt(snap.sigma2 / 2.0)

@@ -137,9 +137,26 @@ def test_interval_record_is_internally_consistent():
 
 
 def test_interval_requires_enough_subframes():
-    cfg = small_cfg(N=8, b_subframes=4)
-    with pytest.raises(ConfigError):
-        run_coherence_interval(cfg, 0, np.random.default_rng(0))
+    # the config rejects the pairing, so no interval or sweep cell holds it
+    with pytest.raises(ConfigError, match="b_subframes must be >= n_elements"):
+        small_cfg(N=8, b_subframes=4)
+    assert small_cfg(N=8, b_subframes=8).b_effective == 8
+
+
+def test_one_interval_reads_each_sides_antenna_height_once(monkeypatch):
+    calls = []
+    height = sea_surface.antenna_height
+
+    def spy(node, wave, t):
+        calls.append(np.shape(node.position))
+        return height(node, wave, t)
+
+    monkeypatch.setattr(sea_surface, "antenna_height", spy)
+    rec = run_coherence_interval(small_cfg(mean_iots=4.0), 0,
+                                 np.random.default_rng(3))
+    count = len(rec.powers)
+    assert count > 0
+    assert calls == [(count, 2), (2,)]    # the IoT batch, then the receiver
 
 
 def test_empty_deployment_yields_zero_record():
@@ -196,12 +213,12 @@ def test_failed_cell_flushes_partial_results_through_one_pool(tmp_path,
                                                               monkeypatch,
                                                               map_widths):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    cfg = small_cfg(N=4, seed=1, b_subframes=8)
+    cfg = small_cfg(N=4, seed=1, t_pilot_len=1000)
     out = tmp_path / "partial.csv"
-    with pytest.raises(ConfigError):
-        # second cell asks for more elements than scheduled sub-frames; its
+    with pytest.raises(ConfigError, match="sounding blocks"):
+        # the second cell's sounding blocks pass the interval memory cap; its
         # trial is the helper's, so the ConfigError crosses the pipe
-        run_sweep(cfg, "n", [4, 16], trials=1, flush_path=out, n_jobs=2)
+        run_sweep(cfg, "n", [4, 10000], trials=1, flush_path=out, n_jobs=2)
     assert map_widths == [2]
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -240,6 +257,25 @@ def test_trial_tasks_take_no_memory_before_the_first_interval(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(allocated) == 1 and allocated[0] < 1 << 20, allocated
+
+
+def test_sweep_past_the_cell_cap_raises_before_building_cells(monkeypatch):
+    """101 values x 100 sea states pass MAX_CELLS: run_sweep raises after
+    allocating under 1 MB, before any cell config or interval."""
+    calls = []
+    monkeypatch.setattr(harness, "run_coherence_interval",
+                        lambda *args: calls.append(args))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ConfigError, match="sweep has 10100 cells, over "
+                                              "the 10000 cap"):
+            run_sweep(small_cfg(), "hr0", range(1, 102), trials=1,
+                      sea_states=range(2, 102))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 1 << 20, peak
 
 
 def test_noiseless_ris_never_loses_to_direct():
@@ -285,11 +321,11 @@ def test_sea_sweep_sets_states_and_rejects_cross_product():
 
 
 def test_failed_cell_flushes_partial_results(tmp_path):
-    cfg = small_cfg(N=4, seed=1, b_subframes=8)
+    cfg = small_cfg(N=4, seed=1, t_pilot_len=1000)
     out = tmp_path / "partial.csv"
-    with pytest.raises(ConfigError):
-        # second cell asks for more elements than scheduled sub-frames
-        run_sweep(cfg, "n", [4, 16], trials=1, flush_path=out)
+    with pytest.raises(ConfigError, match="sounding blocks"):
+        # the second cell's sounding blocks pass the interval memory cap
+        run_sweep(cfg, "n", [4, 10000], trials=1, flush_path=out)
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and int(rows[0]["value"]) == 4

@@ -83,26 +83,23 @@ def test_combined_channel_rejects_non_unit_reflections():
     rng = np.random.default_rng(2)
     snap = random_snapshot(rng)
     with pytest.raises(ValueError):
-        combined_channel(snap.direct_rows, 2.0 * unit_q(rng, snap.N), snap.G)
+        combined_channel(snap, 2.0 * unit_q(rng, snap.N))
+    with pytest.raises(ValueError, match="reflection length"):
+        combined_channel(snap, unit_q(rng, snap.N + 1))   # one per element
 
 
 def test_combined_channel_over_the_tensor_matches_per_iot_rows():
     rng = np.random.default_rng(8)
     snap = random_snapshot(rng, N=6, M=3, I=4)
     Q = np.stack([unit_q(rng, snap.N) for _ in range(5)])
-    rows = combined_channel(snap.direct_rows, Q, snap.G)
+    rows = combined_channel(snap, Q)
     assert rows.shape == (5, snap.I, snap.M)
     for k in range(5):
-        assert np.allclose(combined_channel(snap.direct_rows, Q[k], snap.G),
+        assert np.allclose(combined_channel(snap, Q[k]),
                            rows[k], rtol=1e-12, atol=0.0)
         for i in range(snap.I):
             want = snap.direct_rows[i] + Q[k] @ snap.G[i]
-            assert np.allclose(combined_channel(snap.direct_rows[i], Q[k],
-                                                snap.G[i]),
-                               want, rtol=1e-12, atol=0.0)
             assert np.allclose(rows[k, i], want, rtol=1e-12, atol=0.0)
-    with pytest.raises(ValueError):
-        combined_channel(snap.direct_rows[0], Q, snap.G)   # h_d is one row
 
 
 @given(st.integers(0, 2 ** 32 - 1))
