@@ -103,12 +103,13 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
               else _parse_values(args.states, sea_level, "sea state"))
     if args.jobs > 1 and harness._map_width(args.jobs) == 1:
         print(f"note: --jobs {args.jobs} runs in one process: helpers are "
-              "forked only with the fork start method, no other thread "
-              "alive and more than one CPU", file=sys.stderr)
-    rows = harness.run_sweep(cfg, args.var, values, args.trials,
-                             sea_states=states, n_jobs=args.jobs,
-                             flush_path=args.out, flush_format=args.format)
-    _write_output(harness.format_results(rows, args.format), args.out)
+              "forked only where the start method is fork or forkserver, no "
+              "other thread is alive and there is more than one CPU",
+              file=sys.stderr)
+    table = harness.run_sweep(cfg, args.var, values, args.trials,
+                              sea_states=states, n_jobs=args.jobs,
+                              flush_path=args.out, flush_format=args.format)
+    _write_output(harness.format_table(table, args.format), args.out)
     return 0
 
 
@@ -222,8 +223,8 @@ def _check_sweep_determinism():
     texts = []
     for jobs in (1, 1, 2):
         # two cells, so the parallel run maps both through one ordered map
-        rows = harness.run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, n_jobs=jobs)
-        texts.append("".join(harness.format_results(rows, "csv")))
+        table = harness.run_sweep(cfg, "hr0", [5.0, 7.0], 2, n_jobs=jobs)
+        texts.append("".join(harness.format_table(table, "csv")))
     assert texts[0] == texts[1], "repeat run differs"
     assert texts[0] == texts[2], "parallel run differs"
 

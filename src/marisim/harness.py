@@ -3,11 +3,12 @@ pipeline (deploy, harvest, synthesize, estimate, optimize, evaluate), sweep
 drivers, the LoS-probability and path-loss tables, and deterministic CSV/JSON
 emission.
 
-Every table is a mapping from column name to an equal-length column, and
-one emitter, format_table, renders it as CSV or JSON in blocks of rows,
-formatting each block's slice of every column once; write_blocks writes the
-blocks as they arrive.  Sweep rows are transposed into that form only where
-they are written.
+Each interval yields a TrialRecord of what it observed, and a sweep reduces
+each cell's records to one entry per RESULT_COLUMNS column.  Every table is
+such a mapping from column name to an equal-length column, and one emitter,
+format_table, renders it as CSV or JSON in blocks of rows, formatting each
+block's slice of every column once; write_blocks writes the blocks as they
+arrive.
 
 One ordered map, _ordered_map, runs every parallel path: a sweep's trials,
 the LoS table's cells and a long table's blocks.  Forked helpers compute
@@ -48,10 +49,10 @@ RESULT_COLUMNS = ("sweep_var", "value", "sea_state", "mean_rate_ris",
 
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
-    """Everything observed in one coherence interval."""
+    """What one coherence interval observed.  The effective rates, the LoS
+    share and the transmit power are derived from these fields, so each
+    result is held once."""
 
-    interval_idx: int
-    sea_state: int
     positions: np.ndarray   # (I, 2) deployed IoT positions
     powers: np.ndarray      # (I,) transmit powers, W
     los_flags: np.ndarray   # (I,) direct-link LoS indicators
@@ -59,28 +60,33 @@ class TrialRecord:
     g_error: float          # no estimate was formed or the truth is zero)
     c_ris: float            # capacities on the true channels, bits/s
     c_noris: float
-    rate_ris: float         # effective rates after pilot overhead
-    rate_noris: float
-    los_frac: float
-    tx_power_w: float       # per-IoT available transmit power
-    overhead: float
+    overhead: float         # share of the interval left after the pilots
     solver_iterations: int
     solver_converged: bool
     rank_failure: bool
 
     def __post_init__(self):
-        for name in ("c_ris", "c_noris", "rate_ris", "rate_noris"):
+        for name in ("c_ris", "c_noris"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        # overhead can only shrink a rate
-        if self.rate_ris > self.c_ris * (1 + 1e-12) + 1e-9:
-            raise ValueError("effective rate exceeds raw capacity")
-        if self.rate_noris > self.c_noris * (1 + 1e-12) + 1e-9:
-            raise ValueError("effective rate exceeds raw capacity")
         if not 0.0 <= self.overhead <= 1.0:
             raise ValueError("overhead factor must lie in [0, 1]")
-        if not 0.0 <= self.los_frac <= 1.0:
-            raise ValueError("los_frac must lie in [0, 1]")
+
+    @property
+    def rate_ris(self) -> float:     # effective rates after pilot overhead
+        return self.overhead * self.c_ris
+
+    @property
+    def rate_noris(self) -> float:
+        return self.overhead * self.c_noris
+
+    @property
+    def los_frac(self) -> float:     # share of direct links in LoS
+        return float(np.mean(self.los_flags)) if len(self.los_flags) else 0.0
+
+    @property
+    def tx_power_w(self) -> float:   # per-IoT available transmit power
+        return float(self.powers[0]) if len(self.powers) else 0.0
 
 
 # Consecutive rejected positions after which the exclusion zones are taken
@@ -147,30 +153,17 @@ def _exclusion_zones(cfg: ScenarioConfig):
             (cfg.geometry.rx_position, max(1.0, cfg.radio.pathloss.d_0)))
 
 
-def _zero_record(cfg, interval_idx, positions, powers, flags, overhead):
-    count = len(positions)
-    return TrialRecord(
-        interval_idx=interval_idx, sea_state=cfg.sea_state,
-        positions=positions,
-        powers=np.asarray(powers, dtype=float),
-        los_flags=np.asarray(flags, dtype=bool),
-        hd_error=float("nan"), g_error=float("nan"),
-        c_ris=0.0, c_noris=0.0, rate_ris=0.0, rate_noris=0.0,
-        los_frac=float(np.mean(flags)) if count else 0.0,
-        tx_power_w=float(powers[0]) if count else 0.0,
-        overhead=overhead, solver_iterations=0, solver_converged=True,
-        rank_failure=False)
-
-
 def _relative_error(est, truth) -> float:
     num = float(np.linalg.norm(np.asarray(est) - np.asarray(truth)))
     den = float(np.linalg.norm(np.asarray(truth)))
     return num / den if den > 0 else float("nan")
 
 
-def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> TrialRecord:
+def run_coherence_interval(cfg: ScenarioConfig, rng) -> TrialRecord:
     """One block-fading interval: redraw the sea and the deployment, harvest
     power, sound the channels, optimize on the estimates, score on the truth.
+    With no IoT or no power nothing is sounded or scored: the record has nan
+    errors, zero capacities and no solver iterations.
 
     Here the sea meets the radio: the wave sets the links' LoS flags and each
     side's antenna heights, read once, and channel synthesis takes those
@@ -199,8 +192,12 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
     slots = cfg.radio.beta_hz * cfg.interval_duration_s
     overhead = max(0.0, 1.0 - estimation.pilot_overhead_symbols(B, T) / slots)
 
+    record = functools.partial(TrialRecord, positions=positions, powers=powers,
+                               los_flags=flags, overhead=overhead,
+                               rank_failure=False)
     if count == 0 or P_tx <= 0.0:
-        return _zero_record(cfg, interval_idx, positions, powers, flags, overhead)
+        return record(hd_error=math.nan, g_error=math.nan, c_ris=0.0,
+                      c_noris=0.0, solver_iterations=0, solver_converged=True)
 
     p = cfg.radio.pathloss
     M = cfg.radio.m_antennas
@@ -233,33 +230,30 @@ def run_coherence_interval(cfg: ScenarioConfig, interval_idx: int, rng) -> Trial
                                           beta=cfg.radio.beta_hz)
     q_star, _, sol = optimizer.optimize_phases(snap_est, cfg.optimizer, rng)
 
-    c_ris = ris_system.sum_capacity(snap, q_star)
-    c_noris = ris_system.direct_capacity(snap)
-    return TrialRecord(
-        interval_idx=interval_idx, sea_state=cfg.sea_state,
-        positions=positions, powers=powers, los_flags=flags,
-        hd_error=_relative_error(Hd_hat, Hd),
-        g_error=_relative_error(G_hat, G),
-        c_ris=c_ris, c_noris=c_noris,
-        rate_ris=overhead * c_ris, rate_noris=overhead * c_noris,
-        los_frac=float(np.mean(flags)), tx_power_w=P_tx, overhead=overhead,
-        solver_iterations=sol.iterations, solver_converged=sol.converged,
-        rank_failure=False)
+    return record(hd_error=_relative_error(Hd_hat, Hd),
+                  g_error=_relative_error(G_hat, G),
+                  c_ris=ris_system.sum_capacity(snap, q_star),
+                  c_noris=ris_system.direct_capacity(snap),
+                  solver_iterations=sol.iterations,
+                  solver_converged=sol.converged)
 
 
 def _trial_worker(task) -> TrialRecord:
     cfg, cell_idx, trial_idx = task
     rng = np.random.default_rng([cfg.seed, cell_idx, trial_idx])
-    return run_coherence_interval(cfg, trial_idx, rng)
+    return run_coherence_interval(cfg, rng)
 
 
 def _map_width(*caps: int) -> int:
     """Processes for an ordered map: at most one per CPU and within every
-    cap given, where helpers can be forked safely (the start method is fork
-    and no other thread is alive), else 1."""
-    method = (multiprocessing.get_start_method(allow_none=True)
-              or multiprocessing.get_all_start_methods()[0])
-    if method != "fork" or threading.active_count() > 1:
+    cap given, where helpers can be forked safely, else 1: fork is
+    available, no other thread is alive, and the default start method is
+    fork or forkserver (Linux; forkserver from Python 3.14), not spawn
+    (macOS, Windows).  _ordered_map asks for fork by name."""
+    methods = multiprocessing.get_all_start_methods()
+    default = multiprocessing.get_start_method(allow_none=True) or methods[0]
+    if (default not in ("fork", "forkserver") or "fork" not in methods
+            or threading.active_count() > 1):
         return 1
     return min(*caps, os.cpu_count() or 1)
 
@@ -372,17 +366,18 @@ def aggregate_cell(records) -> dict:
 
 def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int, *,
               sea_states=None, n_jobs: int = 1,
-              flush_path=None, flush_format: str = "csv") -> list:
+              flush_path=None, flush_format: str = "csv") -> dict:
     """Sweep one variable over values (crossed with sea states unless the
-    variable IS the sea state); returns one aggregate row per cell.
+    variable IS the sea state); returns the result table, each of the
+    RESULT_COLUMNS a list with one aggregate per cell, for format_table.
 
     Every cell's config is built before any trial runs, so an invalid value
     raises ConfigError first; so does a sweep of more than MAX_CELLS cells,
     before any config is built.  All (cell, trial) tasks then run through one
     ordered map on at most n_jobs processes, one per task and per CPU, trial
     k of cell c seeded by (cfg.seed, c, k).  On a failure inside a trial the
-    completed rows are flushed to flush_path (when given) before the error
-    propagates.
+    completed cells are written to flush_path (when given), as flush_format,
+    before the error propagates.
     """
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}")
@@ -409,19 +404,21 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int, *,
         cfgs.append(cfg_cell)
 
     records = _map_trials(enumerate(cfgs), trials, n_jobs)
-    rows = []
+    table = {column: [] for column in RESULT_COLUMNS}
     try:
         with contextlib.closing(records):
             for value, state in cells:
                 cell = list(itertools.islice(records, trials))
-                rows.append({"sweep_var": variable, "value": value,
-                             "sea_state": state, **aggregate_cell(cell),
-                             "trials": trials, "seed": cfg.seed})
+                row = {"sweep_var": variable, "value": value,
+                       "sea_state": state, **aggregate_cell(cell),
+                       "trials": trials, "seed": cfg.seed}
+                for column, entries in table.items():
+                    entries.append(row[column])
     except Exception:
         if flush_path is not None:
-            emit_results(rows, flush_path, flush_format)
+            write_blocks(format_table(table, flush_format), flush_path)
         raise
-    return rows
+    return table
 
 
 def _format_cell(v) -> str:
@@ -508,12 +505,6 @@ def _blocks(table, structured: bool, width=None):
     yield end
 
 
-def format_results(rows, fmt: str = "csv"):
-    """Render sweep result rows, transposed to the RESULT_COLUMNS table."""
-    return format_table({c: [row[c] for row in rows] for c in RESULT_COLUMNS},
-                        fmt)
-
-
 def write_blocks(blocks, path) -> None:
     """Write text blocks to path as they arrive; I/O errors carry the path.
 
@@ -531,11 +522,6 @@ def write_blocks(blocks, path) -> None:
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
-
-
-def emit_results(rows, path, fmt: str = "csv") -> None:
-    """Write a sweep result table."""
-    write_blocks(format_results(rows, fmt), path)
 
 
 def los_probability_table(cfg: ScenarioConfig, states, heights,

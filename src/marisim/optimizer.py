@@ -129,7 +129,10 @@ class _ShiftTest:
         self.Wp = obj.W[:, pos] * np.sqrt(obj.p[pos])
         self.Wph = np.ascontiguousarray(self.Wp.conj().T)
         self.eye = np.eye(self.Wp.shape[1])
-        self.trace = float(np.sum(np.abs(self.Wp) ** 2))   # ||W+ W+^H|| bound
+
+    @cached_property
+    def trace(self) -> float:   # ||W+ W+^H|| bound, computed when first read
+        return float(np.sum(np.abs(self.Wp) ** 2))
 
     def weyl(self, lam) -> float:
         """Bound that needs no test: min(lam) - ||W+||_F^2."""
@@ -146,8 +149,9 @@ class _ShiftTest:
         return True
 
     def certifies(self, lam, eps: float) -> bool:
-        """lambda_min(diag(lam) - D) >= -eps, certified."""
-        return self.weyl(lam) >= -eps or self.holds(lam, -eps)
+        """lambda_min(diag(lam) - D) >= -eps, certified.  The Schur test
+        decides first; the Weyl bound is tried only when it fails."""
+        return self.holds(lam, -eps) or self.weyl(lam) >= -eps
 
     def bound(self, lam, eps: float, certified: bool) -> float:
         """Largest mu <= 0 found by bisection between the known-valid bound

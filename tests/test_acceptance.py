@@ -30,10 +30,11 @@ from marisim.config import (
 )
 from marisim.harness import (
     RESULT_COLUMNS,
-    emit_results,
+    format_table,
     los_probability_table,
     run_cell,
     run_sweep,
+    write_blocks,
 )
 from marisim.optimizer import OptimizerConfig
 from marisim.sea_surface import sea_state
@@ -268,9 +269,9 @@ def test_criterion_9_byte_identical_results(criterion, tmp_path):
     )
     blobs = []
     for run, jobs in enumerate((1, 1, 2)):
-        rows = run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, n_jobs=jobs)
+        table = run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, n_jobs=jobs)
         path = tmp_path / f"run{run}.csv"
-        emit_results(rows, path, "csv")
+        write_blocks(format_table(table, "csv"), path)
         blobs.append(path.read_bytes())
     identical = blobs[0] == blobs[1] == blobs[2]
     criterion(9, identical,

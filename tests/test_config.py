@@ -282,8 +282,7 @@ def test_every_accepted_value_runs_to_a_finite_record(section, key, tmp_path):
         # (a close IoT, a deep fade) shows
         for seed in range(INTERVAL_SEEDS):
             try:
-                rec = run_coherence_interval(cfg, 0,
-                                             np.random.default_rng(seed))
+                rec = run_coherence_interval(cfg, np.random.default_rng(seed))
             except ConfigError:
                 continue
             fields = (rec.c_ris, rec.c_noris, rec.rate_ris, rec.rate_noris,

@@ -36,7 +36,6 @@ from marisim.harness import (
     _format_cell,
     aggregate_cell,
     deploy_iots,
-    emit_results,
     format_table,
     los_probability_table,
     pathloss_table,
@@ -49,8 +48,10 @@ from marisim.optimizer import OptimizerConfig
 from marisim.sea_surface import FloatingNode, sea_state
 
 
-FORKS = (multiprocessing.get_start_method(allow_none=True)
-         or multiprocessing.get_all_start_methods()[0]) == "fork"
+FORKS = ("fork" in multiprocessing.get_all_start_methods()
+         and (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+         in ("fork", "forkserver"))
 needs_fork = pytest.mark.skipif(not FORKS, reason="map helpers are forked")
 
 
@@ -119,8 +120,7 @@ def test_deployment_exclusion_zones_and_validation():
 
 def test_interval_record_is_internally_consistent():
     cfg = small_cfg(mean_iots=4.0)
-    rec = run_coherence_interval(cfg, 0, np.random.default_rng([3, 0, 0]))
-    assert rec.sea_state == 5
+    rec = run_coherence_interval(cfg, np.random.default_rng([3, 0, 0]))
     assert rec.positions.shape == (len(rec.powers), 2)
     assert rec.rate_ris == pytest.approx(rec.overhead * rec.c_ris, rel=1e-12)
     assert rec.rate_noris == pytest.approx(rec.overhead * rec.c_noris, rel=1e-12)
@@ -152,7 +152,7 @@ def test_one_interval_reads_each_sides_antenna_height_once(monkeypatch):
         return height(node, wave, t)
 
     monkeypatch.setattr(sea_surface, "antenna_height", spy)
-    rec = run_coherence_interval(small_cfg(mean_iots=4.0), 0,
+    rec = run_coherence_interval(small_cfg(mean_iots=4.0),
                                  np.random.default_rng(3))
     count = len(rec.powers)
     assert count > 0
@@ -161,7 +161,7 @@ def test_one_interval_reads_each_sides_antenna_height_once(monkeypatch):
 
 def test_empty_deployment_yields_zero_record():
     cfg = small_cfg(mean_iots=1e-12, N=360, t_pilot_len=4)
-    rec = run_coherence_interval(cfg, 5, np.random.default_rng(1))
+    rec = run_coherence_interval(cfg, np.random.default_rng(1))
     assert rec.positions.shape == (0, 2)
     assert rec.c_ris == rec.rate_ris == 0.0
     assert rec.tx_power_w == 0.0
@@ -244,7 +244,7 @@ def test_trial_tasks_take_no_memory_before_the_first_interval(monkeypatch):
     (cfg, cell, trial) tuples took about 10 MB."""
     allocated = []
 
-    def interval(cfg, interval_idx, rng):
+    def interval(cfg, rng):
         allocated.append(tracemalloc.get_traced_memory()[0] - start)
 
     monkeypatch.setattr(harness, "run_coherence_interval", interval)
@@ -298,22 +298,22 @@ def test_aggregate_cell_statistics():
 
 def test_run_sweep_cell_grid_and_single_trial_reduction():
     cfg = small_cfg(seed=4)
-    rows = run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, sea_states=[4, 5])
-    assert [(r["value"], r["sea_state"]) for r in rows] == [
+    table = run_sweep(cfg, "hr0", [5.0, 7.0], trials=2, sea_states=[4, 5])
+    assert list(zip(table["value"], table["sea_state"])) == [
         (5.0, 4), (5.0, 5), (7.0, 4), (7.0, 5)]
-    assert all(set(RESULT_COLUMNS) == set(r) for r in rows)
+    assert tuple(table) == RESULT_COLUMNS
+    assert all(len(column) == 4 for column in table.values())
 
     single = run_sweep(cfg, "n", [8], trials=1)
-    [row] = single
     rec = run_cell(cfg, trials=1, cell_idx=0)[0]
-    assert row["mean_rate_ris"] == pytest.approx(rec.rate_ris)
-    assert row["std_rate_ris"] == 0.0
+    assert single["mean_rate_ris"] == [pytest.approx(rec.rate_ris)]
+    assert single["std_rate_ris"] == [0.0]
 
 
 def test_sea_sweep_sets_states_and_rejects_cross_product():
     cfg = small_cfg()
-    rows = run_sweep(cfg, "sea", [4, 6], trials=1)
-    assert [r["sea_state"] for r in rows] == [4, 6]
+    table = run_sweep(cfg, "sea", [4, 6], trials=1)
+    assert table["sea_state"] == [4, 6]
     with pytest.raises(ConfigError):
         run_sweep(cfg, "sea", [4, 6], trials=1, sea_states=[4])
     with pytest.raises(ConfigError):
@@ -333,13 +333,14 @@ def test_failed_cell_flushes_partial_results(tmp_path):
 
 def test_emit_and_read_roundtrip_bit_exact(tmp_path):
     cfg = small_cfg(seed=6)
-    rows = run_sweep(cfg, "hr0", [5.0], trials=2)
+    table = run_sweep(cfg, "hr0", [5.0, 7.0], trials=2)
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
     path = tmp_path / "out.json"
-    emit_results(rows, path, "structured")
+    write_blocks(format_table(table, "structured"), path)
     with open(path, encoding="utf-8") as fh:
         assert json.load(fh) == rows   # repr round-trip keeps floats exact
     path = tmp_path / "out.csv"
-    emit_results(rows, path, "csv")
+    write_blocks(format_table(table, "csv"), path)
     with open(path, newline="", encoding="utf-8") as fh:
         back = list(csv.DictReader(fh))
     assert [{c: type(v)(cells[c]) for c, v in row.items()}
@@ -349,7 +350,7 @@ def test_emit_and_read_roundtrip_bit_exact(tmp_path):
 
 def test_emit_empty_table_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_results([], path, "csv")
+    write_blocks(format_table({c: [] for c in RESULT_COLUMNS}, "csv"), path)
     assert path.read_text() == ",".join(RESULT_COLUMNS) + "\n"
 
 
@@ -455,7 +456,7 @@ def test_split_table_is_byte_identical_to_inline(cpus, monkeypatch):
             for v in table.values()))], indent=2) + "\n"
 
 
-def sweep_rows():
+def sweep_table():
     return run_sweep(small_cfg(seed=8), "hr0", [3.0, 5.0], trials=2, n_jobs=2)
 
 
@@ -469,7 +470,7 @@ def large_table_text():
 
 
 @needs_fork
-@pytest.mark.parametrize("run", [sweep_rows, los_table_text, large_table_text],
+@pytest.mark.parametrize("run", [sweep_table, los_table_text, large_table_text],
                          ids=["sweep", "los_table", "large_table"])
 def test_helpers_start_only_under_fork_with_no_other_thread(run, monkeypatch,
                                                             map_widths):
@@ -485,10 +486,15 @@ def test_helpers_start_only_under_fork_with_no_other_thread(run, monkeypatch,
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
+    assert map_widths == [2]   # the run beside a thread forked no helper
+    monkeypatch.setattr(multiprocessing, "get_start_method",
+                        lambda allow_none=False: "forkserver")
+    assert run() == forked
+    assert map_widths == [2, 2]   # Linux's default from Python 3.14 forks
     monkeypatch.setattr(multiprocessing, "get_start_method",
                         lambda allow_none=False: "spawn")
     assert run() == forked
-    assert map_widths == [2]   # neither run above forked a helper
+    assert map_widths == [2, 2]   # spawn's platforms fork no helper
     assert multiprocessing.active_children() == []
 
 
@@ -665,7 +671,7 @@ def test_interval_past_the_size_cap_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(harness.estimation, "make_orthogonal_pilots",
                         lambda *args: pytest.fail("allocated the pilots"))
     with pytest.raises(ConfigError, match="pilot book, over the 16777216"):
-        run_coherence_interval(small_cfg(mean_iots=10_000.0), 0,
+        run_coherence_interval(small_cfg(mean_iots=10_000.0),
                                np.random.default_rng(0))
 
 

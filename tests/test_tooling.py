@@ -119,10 +119,31 @@ def test_one_interval_sounds_the_schedule_once_and_estimates_once(monkeypatch):
     cfg = ScenarioConfig(sea_state=5,
                          geometry=GeometryConfig(mean_iot_count=4.0),
                          radio=RadioConfig(m_antennas=2, n_elements=8))
-    rec = harness.run_coherence_interval(cfg, 0, np.random.default_rng(3))
+    rec = harness.run_coherence_interval(cfg, np.random.default_rng(3))
     assert len(rec.powers) > 0
     assert [name for name, _ in calls] == ["sound", "ls"]
     sched = calls[0][1]
     assert isinstance(sched, estimation.ReflectionSchedule)
     assert calls[1][1] is sched
     assert (sched.N, sched.B) == (8, cfg.b_effective)
+
+
+def test_records_answer_every_field_the_benchmark_reads():
+    """bench/oracle.py and bench/worker.py read TrialRecord fields by name;
+    a record with IoTs and one without must answer each of them."""
+    names = set()
+    for script in ("oracle.py", "worker.py"):
+        text = (ROOT / "bench" / script).read_text(encoding="utf-8")
+        names.update(re.findall(r"\brec\.([A-Za-z_]\w*)", text))
+    assert names, "no rec.<name> read found"
+    records = []
+    for mean_iots in (4.0, 1e-12):
+        cfg = ScenarioConfig(sea_state=5,
+                             geometry=GeometryConfig(mean_iot_count=mean_iots),
+                             radio=RadioConfig(m_antennas=2, n_elements=8))
+        records.append(harness.run_coherence_interval(
+            cfg, np.random.default_rng(3)))
+    assert [len(rec.powers) > 0 for rec in records] == [True, False]
+    for rec in records:
+        for name in sorted(names):
+            assert hasattr(rec, name), name
