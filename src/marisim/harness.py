@@ -128,8 +128,9 @@ MAX_INTERVAL_ELEMENTS = 2 ** 24
 # scenario, so one cell's records stay under about 0.5 GB.
 MAX_TRIALS = 100_000
 
-# Cells per sweep: every cell's config is built before the first trial, at
-# about 0.4 KB each, so a sweep's configs stay under about 4 MB.
+# Cells per sweep or LoS table: every cell is built before the first one
+# runs, a sweep cell's config at about 0.4 KB and a table cell at about
+# 0.35 KB, so either stays under about 4 MB.
 MAX_CELLS = 10_000
 
 
@@ -165,8 +166,8 @@ def run_coherence_interval(cfg: ScenarioConfig, rng) -> TrialRecord:
     With no IoT or no power nothing is sounded or scored: the record has nan
     errors, zero capacities and no solver iterations.
 
-    Here the sea meets the radio: the wave sets the links' LoS flags and each
-    side's antenna heights, read once, and channel synthesis takes those
+    Here the sea meets the radio: one los_state call gives the links' LoS
+    flags and both sides' antenna heights, and channel synthesis takes those
     arrays with the positions and draw_link_fading's draws."""
     N = cfg.radio.n_elements
     B = cfg.b_effective
@@ -187,7 +188,7 @@ def run_coherence_interval(cfg: ScenarioConfig, rng) -> TrialRecord:
     P_e = energy.harvested_power(wave.a, wave.T_wave, cfg.energy)
     P_tx = energy.available_tx_power(P_e, cfg.energy)
     powers = np.full(count, P_tx)
-    flags = sea_surface.los_state(batch, rx, wave, t)
+    flags, h_iot, h_rx = sea_surface.los_state(batch, rx, wave, t)
 
     slots = cfg.radio.beta_hz * cfg.interval_duration_s
     overhead = max(0.0, 1.0 - estimation.pilot_overhead_symbols(B, T) / slots)
@@ -203,8 +204,7 @@ def run_coherence_interval(cfg: ScenarioConfig, rng) -> TrialRecord:
     M = cfg.radio.m_antennas
     sigma2 = cfg.radio.sigma2_w
     ris = ris_system.make_planar_ris(N, cfg.geometry.ris_center, p.lam)
-    h_iot = sea_surface.antenna_height(batch, wave, t)
-    h_rx = sea_surface.antenna_height(rx, wave, t)
+    h_rx = float(h_rx[0])   # every link carries the receiver's one height
     xi_departure, xi_direct, nlos_phase, xi_incident = (
         channel.draw_link_fading(flags, p, rng))
     F = channel.ris_departure_matrix(ris, rx.position, h_rx, M, p, xi_departure)
@@ -236,12 +236,6 @@ def run_coherence_interval(cfg: ScenarioConfig, rng) -> TrialRecord:
                   c_noris=ris_system.direct_capacity(snap),
                   solver_iterations=sol.iterations,
                   solver_converged=sol.converged)
-
-
-def _trial_worker(task) -> TrialRecord:
-    cfg, cell_idx, trial_idx = task
-    rng = np.random.default_rng([cfg.seed, cell_idx, trial_idx])
-    return run_coherence_interval(cfg, rng)
 
 
 def _map_width(*caps: int) -> int:
@@ -336,7 +330,8 @@ def _map_trials(cells, trials: int, n_jobs: int):
 
     def trial(t):
         cell_idx, cfg = cells[t // trials]
-        return _trial_worker((cfg, cell_idx, t % trials))
+        rng = np.random.default_rng([cfg.seed, cell_idx, t % trials])
+        return run_coherence_interval(cfg, rng)
 
     tasks = range(len(cells) * trials)
     return _ordered_map(trial, tasks, _map_width(len(tasks), n_jobs))
@@ -532,9 +527,15 @@ def los_probability_table(cfg: ScenarioConfig, states, heights,
     The cells run through one ordered map on at most one process per cell
     and per CPU.  Each cell draws from its own generator, seeded by
     (cfg.seed, state index, height index), and its probability is an exact
-    count over samples, so the table is the same for any process count."""
+    count over samples, so the table is the same for any process count.
+    A table of more than MAX_CELLS cells raises ConfigError before any cell
+    is built."""
     levels = [int(level) for level in states]
     heights = [float(h) for h in heights]
+    count = len(levels) * len(heights)
+    if count > MAX_CELLS:
+        raise ConfigError(f"LoS table has {count} cells, over the "
+                          f"{MAX_CELLS} cap")
     tx = FloatingNode(position=cfg.geometry.turbine_position,
                       mast_height=cfg.geometry.iot_mast_m)
     cells = [(sea_surface.sea_state(level),

@@ -122,21 +122,16 @@ class _ShiftTest:
     diag(lam) - D, so any mu with diag(lam) - mu I - W+ W+^H PSD is a valid
     bound, W+ being W scaled by sqrt(p) on the positive-weight columns.  For
     mu < min(lam) the Schur complement turns that into a Cholesky test of
-    I_k - W+^H (diag(lam) - mu I)^-1 W+."""
+    I_k - W+^H (diag(lam) - mu I)^-1 W+, and that test alone decides each
+    certificate.  The Weyl bound min(lam) - ||W+||_F^2 never passes where
+    the test fails (it makes the Schur matrix PSD), so it serves only as the
+    known-valid floor of bound's bisection."""
 
     def __init__(self, obj: HomogenizedObjective):
         pos = obj.p > 0
         self.Wp = obj.W[:, pos] * np.sqrt(obj.p[pos])
         self.Wph = np.ascontiguousarray(self.Wp.conj().T)
         self.eye = np.eye(self.Wp.shape[1])
-
-    @cached_property
-    def trace(self) -> float:   # ||W+ W+^H|| bound, computed when first read
-        return float(np.sum(np.abs(self.Wp) ** 2))
-
-    def weyl(self, lam) -> float:
-        """Bound that needs no test: min(lam) - ||W+||_F^2."""
-        return float(np.min(lam)) - self.trace
 
     def holds(self, lam, mu: float) -> bool:
         d = lam - mu
@@ -148,15 +143,11 @@ class _ShiftTest:
             return False
         return True
 
-    def certifies(self, lam, eps: float) -> bool:
-        """lambda_min(diag(lam) - D) >= -eps, certified.  The Schur test
-        decides first; the Weyl bound is tried only when it fails."""
-        return self.holds(lam, -eps) or self.weyl(lam) >= -eps
-
     def bound(self, lam, eps: float, certified: bool) -> float:
         """Largest mu <= 0 found by bisection between the known-valid bound
-        and the first value not known to hold."""
-        lo = self.weyl(lam)
+        and the first value not known to hold; the Weyl bound is the
+        known-valid floor."""
+        lo = float(np.min(lam)) - float(np.sum(np.abs(self.Wp) ** 2))
         hi = -eps
         if certified:
             lo, hi = max(lo, -eps), 0.0
@@ -220,7 +211,7 @@ def solve_sdp(obj: HomogenizedObjective, tol: float = 1e-6,
         if k == max_iter or (k >= next_check
                              and value - previous <= tol * abs(value)):
             eps = tol * abs(value) / n
-            certified = test.certifies(lam, eps)
+            certified = test.holds(lam, -eps)
             if certified or k == max_iter:
                 break
             next_check = 2 * k

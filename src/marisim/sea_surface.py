@@ -7,11 +7,13 @@ the two antennas.
 
 One kernel, _los_mask, holds that geometry.  It writes every step through
 in-place ufunc calls into buffers that its caller sizes once: los_state
-sizes them for its batch of buoys at one instant, and los_probability for
-one slice of LOS_CHUNK samples, reused by every slice.  los_probability
-draws its times and phase offsets slice by slice into those buffers, from
-three copies of one generator, so its memory does not grow with the sample
-count and its draws equal whole-array ones.
+sizes them for its batch of buoys at one instant, and returns the two
+antenna heights the kernel leaves in them next to the flags, so one pass
+over the sea gives both; los_probability sizes them for one slice of
+LOS_CHUNK samples, reused by every slice.  los_probability draws its times
+and phase offsets slice by slice into those buffers, from three generators
+on one seed's stream, each advanced to the start of its run, so its memory
+does not grow with the sample count and its draws equal whole-array ones.
 
 Which side of a buoy its nearest crest lies on depends only on the sign of
 cos(phase), for a phase in [0, 4 pi].  The kernel reads that sign from the
@@ -24,7 +26,6 @@ faithfully rounded cos at every double.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -109,8 +110,8 @@ class FloatingNode:
     """A buoy-mounted antenna: 2-D anchor position plus mast height.
 
     A position of shape (I, 2) makes the node a batch of I buoys sharing
-    one mast height; antenna_height and los_state then return one value per
-    buoy.
+    one mast height; los_state then returns one flag and one pair of
+    antenna heights per buoy.
     """
 
     position: tuple[float, float] | np.ndarray
@@ -168,21 +169,6 @@ def _wave_phase(d_src, extra_dist, time_phase, wave: WaveField, out):
     return np.add(out, time_phase, out=out)
 
 
-def _heave(wave: WaveField, phase):
-    """Heave a sin(phase) of a buoy, in place of its phase."""
-    np.sin(phase, out=phase)
-    return np.multiply(wave.a, phase, out=phase)
-
-
-def antenna_height(node: FloatingNode, wave: WaveField, t):
-    """Antenna height above the mean sea level at time t (seconds)."""
-    d_src = _source_distance(node, wave)
-    time_phase, out = _scratch(2, np.broadcast(t, d_src).shape)
-    _wave_phase(d_src, 0.0, _time_phase(wave, t, time_phase), wave, out)
-    np.add(_heave(wave, out), node.mast_height, out=out)
-    return float(out) if out.ndim == 0 else out
-
-
 def _cos_negative(phase, out, spare):
     """out = cos(phase) < 0 for phases in [0, 4 pi], from four comparisons:
     an odd number of _COS_EDGES lie below such a phase exactly when its cosine
@@ -199,7 +185,7 @@ def _heave_and_shift(wave: WaveField, phase, shift, falling, spare):
     buoy has the crest frac = (a - delta)/(4a) wavelengths ahead of it, a
     falling one the complement.  falling and spare are bool scratch."""
     falling = _cos_negative(phase, falling, spare)
-    heave = _heave(wave, phase)
+    heave = np.multiply(wave.a, np.sin(phase, out=phase), out=phase)
     np.subtract(wave.a, heave, out=shift)
     np.divide(shift, 4.0 * wave.a, out=shift)
     # frac lies in [0, 1/2], so |falling - frac| is exactly 1 - frac for a
@@ -249,7 +235,8 @@ def _link_distance(tx: FloatingNode, rx: FloatingNode):
 
 def _los_mask(d, side_t, side_r, wave, t, off_t, off_r, f, bits):
     """LoS flags of a link, over time samples and per-buoy phase offsets or
-    over a batch of buoys, written into bits[0].
+    over a batch of buoys, written into bits[0]; the two antenna heights are
+    left in f[1] (tx) and f[3] (rx).
 
     d, side_t and side_r are the link's per-call constants (_link_distance
     and _side).  f holds six float buffers and bits two bool ones, each of
@@ -261,24 +248,34 @@ def _los_mask(d, side_t, side_r, wave, t, off_t, off_r, f, bits):
     _crest_geometry(side_t, wave, time_phase, off_t, h_t, dist_t, tmp, bits)
     _crest_geometry(side_r, wave, time_phase, off_r, h_r, dist_r, tmp, bits)
     # arctan2 handles a crest exactly under the peer antenna (dist -> 0).
+    # The time phase is spent: its buffer takes each crest-top difference,
+    # so the antenna heights stay in h_t and h_r for the caller.
     phi_t = np.arctan2(np.subtract(h_r, h_t, out=tmp), d, out=tmp)
-    psi_t = np.arctan2(np.subtract(h_r, wave.a, out=h_r), dist_t, out=dist_t)
-    psi_r = np.arctan2(np.subtract(h_t, wave.a, out=h_t), dist_r, out=dist_r)
+    psi_t = np.arctan2(np.subtract(h_r, wave.a, out=time_phase), dist_t,
+                       out=dist_t)
+    psi_r = np.arctan2(np.subtract(h_t, wave.a, out=time_phase), dist_r,
+                       out=dist_r)
     mask = np.less_equal(phi_t, psi_t, out=bits[0])
     np.less_equal(np.negative(phi_t, out=phi_t), psi_r, out=bits[1])
     return np.logical_and(mask, bits[1], out=mask)
 
 
 def los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField, t):
-    """Bool array, True where the direct Tx-Rx ray clears both nearest wave
-    crests: (I,) when tx or rx is a batch of I buoys, 0-d for two single
-    buoys."""
+    """(los, h_tx, h_rx) of the direct Tx-Rx link at time t (seconds), from
+    one pass over the sea: los is True where the ray clears both nearest wave
+    crests, and h_tx and h_rx are the two antenna heights above the mean sea
+    level.  Each array is (I,) when tx or rx is a batch of I buoys, 0-d for
+    two single buoys."""
     d = _link_distance(tx, rx)
     shape = np.broadcast(t, d).shape
     if wave.a == 0:
-        return np.ones(shape, dtype=bool)
-    return _los_mask(d, _side(tx, rx, wave), _side(rx, tx, wave), wave, t,
-                     0.0, 0.0, _scratch(6, shape), _scratch(2, shape, bool))
+        return (np.ones(shape, dtype=bool),
+                np.full(shape, tx.mast_height, dtype=float),
+                np.full(shape, rx.mast_height, dtype=float))
+    f = _scratch(6, shape)
+    los = _los_mask(d, _side(tx, rx, wave), _side(rx, tx, wave), wave, t,
+                    0.0, 0.0, f, _scratch(2, shape, bool))
+    return los, f[1], f[3]
 
 
 def los_probability(state: SeaState, tx: FloatingNode, rx: FloatingNode,
@@ -292,11 +289,10 @@ def los_probability(state: SeaState, tx: FloatingNode, rx: FloatingNode,
     d = _link_distance(tx, rx)
     side_t, side_r = _side(tx, rx, wave), _side(rx, tx, wave)
     # t, off_t and off_r are the three consecutive runs of `samples` draws of
-    # one generator; a copy of it advanced to the start of each run draws
-    # that run slice by slice.  uniform(0, span) returns 0 + span * random(),
-    # which is exactly span * random().
-    bitgen = np.random.default_rng(seed).bit_generator
-    draws = [(np.random.Generator(copy.deepcopy(bitgen).advance(k * samples)),
+    # one generator; a generator on the same seed advanced to the start of
+    # each run draws that run slice by slice.  uniform(0, span) returns
+    # 0 + span * random(), which is exactly span * random().
+    draws = [(np.random.Generator(np.random.PCG64(seed).advance(k * samples)),
               span) for k, span in enumerate((wave.T_wave, wave.l, wave.l))]
     size = min(samples, LOS_CHUNK)
     f, b = _scratch(6, (size,)), _scratch(2, (size,), bool)

@@ -47,3 +47,23 @@ def aligned_capacity_bound(snap: NetworkSnapshot) -> float:
 def relaxed_matrix(sol: SdpSolution) -> np.ndarray:
     """The relaxed solution V = U U^H that the solver keeps factored."""
     return sol.U @ sol.U.conj().T
+
+
+def ray_clears_sea(tx_xy, h_tx, rx_xy, h_rx, wave, t, step=0.1):
+    """True for each link whose straight segment between the antenna points
+    (tx_xy, h_tx) and (rx_xy, h_rx) stays above the sea surface
+    a sin(2 pi (d / l + t / T_wave)), d the distance from the wave source, at
+    time t.  The segment is tested at points at most step meters apart along
+    the path, both ends included.  tx_xy is (I, 2) and h_tx (I,); rx_xy and
+    h_rx are one receiver's or one per link."""
+    tx_xy = np.asarray(tx_xy, dtype=float)
+    delta = np.asarray(rx_xy, dtype=float) - tx_xy
+    s = np.linspace(0.0, 1.0, int(np.ceil(
+        np.hypot(delta[:, 0], delta[:, 1]).max() / step)) + 1)
+    rel = tx_xy - wave.source
+    d_src = np.hypot(rel[:, :1] + s * delta[:, :1],
+                     rel[:, 1:] + s * delta[:, 1:])          # (I, S) path
+    sea = wave.a * np.sin(2.0 * np.pi * (d_src / wave.l + t / wave.T_wave))
+    h_tx = np.asarray(h_tx, dtype=float)[:, None]
+    ray = h_tx + s * (np.asarray(h_rx, dtype=float)[..., None] - h_tx)
+    return np.all(ray > sea, axis=1)

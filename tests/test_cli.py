@@ -262,11 +262,15 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["sweep", "--config", "B16_INI", "--var", "n", "--values", "8,32"],  # B < N
     ["sweep", "--var", "hr0", "--values", ",".join(map(str, range(1, 102))),
      "--states", ",".join(map(str, range(2, 102)))],  # 10 100 cells, over cap
+    ["los-prob", "--states", ",".join(map(str, range(2, 103))),
+     "--heights", ",".join(map(str, range(1, 101)))],  # 10 100 cells, over cap
 ])
 def test_usage_and_config_errors_exit_1(argv, capsys, tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run_coherence_interval",
                         lambda *args: calls.append(args))
+    monkeypatch.setattr(harness.sea_surface, "los_probability",
+                        lambda *args, **kwargs: calls.append(args))
     ini = tmp_path / "b16.ini"   # 8 elements sounded in 16 sub-frames
     ini.write_text(TINY_INI.replace("[estimation]\n",
                                     "[estimation]\nb_subframes = 16\n"))

@@ -144,19 +144,35 @@ def test_interval_requires_enough_subframes():
 
 
 def test_one_interval_reads_each_sides_antenna_height_once(monkeypatch):
-    calls = []
-    height = sea_surface.antenna_height
+    # one los_state call reads the sea, and synthesis gets its heights
+    states, seen = [], {}
+    los_state = sea_surface.los_state
 
-    def spy(node, wave, t):
-        calls.append(np.shape(node.position))
-        return height(node, wave, t)
+    def spy_los(tx, rx, wave, t):
+        states.append(los_state(tx, rx, wave, t))
+        return states[-1]
 
-    monkeypatch.setattr(sea_surface, "antenna_height", spy)
+    def spy(name, height_args):
+        fn = getattr(harness.channel, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name] = [args[i] for i in height_args]
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(harness.channel, name, wrapper)
+
+    monkeypatch.setattr(sea_surface, "los_state", spy_los)
+    spy("synthesize_direct_channel", (2, 3))   # h_t, h_r
+    spy("ris_departure_matrix", (2,))          # h_rx
     rec = run_coherence_interval(small_cfg(mean_iots=4.0),
                                  np.random.default_rng(3))
     count = len(rec.powers)
-    assert count > 0
-    assert calls == [(count, 2), (2,)]    # the IoT batch, then the receiver
+    assert count > 0 and len(states) == 1
+    flags, h_iot, h_rx = states[0]
+    assert h_iot.shape == h_rx.shape == (count,)
+    assert np.array_equal(rec.los_flags, flags)
+    h_t, h_r = seen["synthesize_direct_channel"]
+    assert h_t is h_iot
+    assert h_r == seen["ris_departure_matrix"][0] == h_rx[0]
 
 
 def test_empty_deployment_yields_zero_record():
@@ -272,6 +288,28 @@ def test_sweep_past_the_cell_cap_raises_before_building_cells(monkeypatch):
                                               "the 10000 cap"):
             run_sweep(small_cfg(), "hr0", range(1, 102), trials=1,
                       sea_states=range(2, 102))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 1 << 20, peak
+
+
+def test_los_table_past_the_cell_cap_raises_before_building_cells(
+        monkeypatch):
+    """101 sea states x 100 heights pass MAX_CELLS: los_probability_table
+    raises after allocating under 1 MB, before any cell or node is built."""
+    calls = []
+    monkeypatch.setattr(harness.sea_surface, "los_probability",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(harness, "FloatingNode",
+                        lambda *args, **kwargs: calls.append(args))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ConfigError, match="LoS table has 10100 cells, "
+                                              "over the 10000 cap"):
+            los_probability_table(small_cfg(), range(2, 103), range(1, 101),
+                                  samples=1)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -601,18 +639,20 @@ KILLED_HELPER_SCRIPT = """
 import dataclasses, multiprocessing, os, signal, sys
 from marisim import cli, config, harness
 
-parent, trial = os.getpid(), harness._trial_worker
+parent, interval = os.getpid(), harness.run_coherence_interval
 os.cpu_count = lambda: 2
 
 
-def killed_on_a_helper(task):
-    # trial 1 of cell 1 is the helper's: kill it there, as the OOM killer would
-    if os.getpid() != parent and task[1:3] == (1, 1):
+def killed_on_a_helper(cfg, rng):
+    # trial 1 of cell 1 is the helper's: kill it there, as the OOM killer
+    # would; the trial is read off its seed (scenario seed, cell, trial)
+    if (os.getpid() != parent
+            and rng.bit_generator.seed_seq.entropy[1:] == [1, 1]):
         os.kill(os.getpid(), signal.SIGKILL)
-    return trial(task)
+    return interval(cfg, rng)
 
 
-harness._trial_worker = killed_on_a_helper
+harness.run_coherence_interval = killed_on_a_helper
 ini, out = sys.argv[1:]
 try:
     cfg = dataclasses.replace(config.load_config(ini), seed=7)
