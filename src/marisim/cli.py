@@ -18,7 +18,7 @@ from . import (channel, energy, estimation, harness, optimizer, ris_system,
                sea_surface)
 from .config import (ConfigError, SWEEP_VARIABLES, ScenarioConfig, _parse,
                      load_config, sea_level)
-from .sea_surface import FloatingNode, sea_state
+from .sea_surface import FloatingNode, sea_state, wave_from_sea_state
 
 
 # pathloss holds every column of its table in memory at once: at this cap one
@@ -236,11 +236,11 @@ def _check_los_table_determinism():
                       mast_height=cfg.geometry.iot_mast_m)
     # the cells one by one in this process, against the table's ordered map
     serial = [sea_surface.los_probability(
-                  sea_state(level), tx,
-                  FloatingNode(position=cfg.geometry.rx_position,
-                               mast_height=h),
-                  samples, seed=[cfg.seed, si, hi],
-                  source=cfg.geometry.wave_source)
+                  tx, FloatingNode(position=cfg.geometry.rx_position,
+                                   mast_height=h),
+                  wave_from_sea_state(sea_state(level),
+                                      cfg.geometry.wave_source),
+                  samples, [cfg.seed, si, hi])
               for si, level in enumerate(states)
               for hi, h in enumerate(heights)]
     reference = {"sea_state": np.repeat(states, len(heights)),

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, energy, estimation, optimizer, ris_system, sea_surface
-from .config import (ConfigError, ScenarioConfig, SWEEP_VARIABLES,
-                     apply_sweep_value, sea_level)
+from .config import ConfigError, ScenarioConfig, apply_sweep_value, sea_level
 from .sea_surface import FloatingNode
 
 RESULT_COLUMNS = ("sweep_var", "value", "sea_state", "mean_rate_ris",
@@ -239,17 +238,19 @@ def run_coherence_interval(cfg: ScenarioConfig, rng) -> TrialRecord:
 
 
 def _map_width(*caps: int) -> int:
-    """Processes for an ordered map: at most one per CPU and within every
-    cap given, where helpers can be forked safely, else 1: fork is
-    available, no other thread is alive, and the default start method is
-    fork or forkserver (Linux; forkserver from Python 3.14), not spawn
-    (macOS, Windows).  _ordered_map asks for fork by name."""
+    """Processes for an ordered map: at most one per CPU this process may
+    run on (its affinity where the OS reports one) and within every cap
+    given, where helpers can be forked safely, else 1: fork is available, no
+    other thread is alive, and the default start method is fork or
+    forkserver (Linux; forkserver from Python 3.14), not spawn (macOS,
+    Windows).  _ordered_map asks for fork by name."""
     methods = multiprocessing.get_all_start_methods()
     default = multiprocessing.get_start_method(allow_none=True) or methods[0]
     if (default not in ("fork", "forkserver") or "fork" not in methods
             or threading.active_count() > 1):
         return 1
-    return min(*caps, os.cpu_count() or 1)
+    usable = getattr(os, "sched_getaffinity", None)
+    return min(*caps, (len(usable(0)) if usable else os.cpu_count()) or 1)
 
 
 def _send_results(fn, items, conn) -> None:
@@ -366,16 +367,15 @@ def run_sweep(cfg: ScenarioConfig, variable: str, values, trials: int, *,
     variable IS the sea state); returns the result table, each of the
     RESULT_COLUMNS a list with one aggregate per cell, for format_table.
 
-    Every cell's config is built before any trial runs, so an invalid value
-    raises ConfigError first; so does a sweep of more than MAX_CELLS cells,
-    before any config is built.  All (cell, trial) tasks then run through one
-    ordered map on at most n_jobs processes, one per task and per CPU, trial
-    k of cell c seeded by (cfg.seed, c, k).  On a failure inside a trial the
-    completed cells are written to flush_path (when given), as flush_format,
-    before the error propagates.
+    Every cell's config is built before any trial runs, so an unknown
+    variable or an invalid value raises ConfigError first; so does a sweep
+    of more than MAX_CELLS cells, before any config is built.  All (cell,
+    trial) tasks then run through one ordered map on at most n_jobs
+    processes, one per task and per CPU, trial k of cell c seeded by
+    (cfg.seed, c, k).  On a failure inside a trial the completed cells are
+    written to flush_path (when given), as flush_format, before the error
+    propagates.
     """
-    if variable not in SWEEP_VARIABLES:
-        raise ConfigError(f"unknown sweep variable {variable!r}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -538,17 +538,16 @@ def los_probability_table(cfg: ScenarioConfig, states, heights,
                           f"{MAX_CELLS} cap")
     tx = FloatingNode(position=cfg.geometry.turbine_position,
                       mast_height=cfg.geometry.iot_mast_m)
-    cells = [(sea_surface.sea_state(level),
-              FloatingNode(position=cfg.geometry.rx_position, mast_height=h),
+    cells = [(FloatingNode(position=cfg.geometry.rx_position, mast_height=h),
+              sea_surface.wave_from_sea_state(sea_surface.sea_state(level),
+                                              cfg.geometry.wave_source),
               [cfg.seed, si, hi])
              for si, level in enumerate(levels)
              for hi, h in enumerate(heights)]
 
     def probability(cell):
-        state, rx, cell_seed = cell
-        return sea_surface.los_probability(state, tx, rx, samples,
-                                           seed=cell_seed,
-                                           source=cfg.geometry.wave_source)
+        rx, wave, cell_seed = cell
+        return sea_surface.los_probability(tx, rx, wave, samples, cell_seed)
 
     probs = list(_ordered_map(probability, cells, _map_width(len(cells))))
     return {"sea_state": np.repeat(levels, len(heights)),

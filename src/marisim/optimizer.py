@@ -256,12 +256,8 @@ def optimize_phases(snap: NetworkSnapshot, cfg: OptimizerConfig, rng):
     q_rand = randomize(sol, cfg.randomization_draws, obj, rng)
     # The +/- pair of any candidate averages to at least the direct-only
     # power, so including sign flips certifies RIS-on >= RIS-off.
-    best_q = None
-    best_val = -np.inf
-    for q in (q_rand, -q_rand, ones, -ones):
-        val = reflection_objective(obj, q)
-        if val > best_val:
-            best_val = val
-            best_q = q
-    capacity = snap.beta * float(np.log2(1.0 + best_val / snap.sigma2))
-    return best_q, capacity, sol
+    candidates = (q_rand, -q_rand, ones, -ones)
+    values = [reflection_objective(obj, q) for q in candidates]
+    best = int(np.argmax(values))   # the first of a tie
+    capacity = snap.beta * float(np.log2(1.0 + values[best] / snap.sigma2))
+    return candidates[best], capacity, sol

@@ -5,15 +5,15 @@ point.  Buoys ride the surface vertically (heave only).  A direct link is
 line-of-sight when neither side's nearest wave crest cuts the ray between
 the two antennas.
 
-One kernel, _los_mask, holds that geometry.  It writes every step through
-in-place ufunc calls into buffers that its caller sizes once: los_state
-sizes them for its batch of buoys at one instant, and returns the two
-antenna heights the kernel leaves in them next to the flags, so one pass
-over the sea gives both; los_probability sizes them for one slice of
-LOS_CHUNK samples, reused by every slice.  los_probability draws its times
-and phase offsets slice by slice into those buffers, from three generators
-on one seed's stream, each advanced to the start of its run, so its memory
-does not grow with the sample count and its draws equal whole-array ones.
+One kernel, _los_mask, holds that geometry.  It sizes its own buffers for
+the broadcast shape of its inputs, writes every step into them through
+in-place ufunc calls, and answers a flat sea at once.  los_state calls it
+once for a batch of buoys and returns the antenna heights it leaves next to
+the flags, so one pass over the sea gives both.  los_probability calls it
+per slice of LOS_CHUNK samples and reuses only its three draw buffers,
+which it fills slice by slice from three generators on one seed's stream,
+each advanced to the start of its run, so its memory does not grow with
+the sample count and its draws equal whole-array ones.
 
 Which side of a buoy its nearest crest lies on depends only on the sign of
 cos(phase), for a phase in [0, 4 pi].  The kernel reads that sign from the
@@ -140,10 +140,6 @@ def _distance(a, b):
     return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
 
 
-def _source_distance(node: FloatingNode, wave: WaveField):
-    return _distance(node.position, wave.source)
-
-
 def _scratch(rows: int, shape, dtype=float) -> list:
     """rows writable buffers of one shape from one allocation; a 0-d shape
     gives 0-d arrays, which ufuncs can write through out=."""
@@ -196,33 +192,33 @@ def _heave_and_shift(wave: WaveField, phase, shift, falling, spare):
     return heave, shift
 
 
-def _side(node: FloatingNode, peer: FloatingNode, wave: WaveField) -> tuple:
+def _side(node: FloatingNode, wave: WaveField) -> tuple:
     """The per-call constants of one side of a link: the node's distance from
-    the wave source and mast height, its coordinates and unit vector away
-    from the source, and the peer's coordinates."""
-    d_src = _source_distance(node, wave)
+    the wave source and mast height, its coordinates and its unit vector
+    away from the source."""
+    pos = np.asarray(node.position, dtype=float)
+    d_src = _distance(pos, wave.source)
     if (d_src == 0).any():
         raise ValueError("node sits on the wave source")
-    pos = np.asarray(node.position, dtype=float)
-    peer_pos = np.asarray(peer.position, dtype=float)
     unit = (pos - wave.source) / d_src[..., None]
     return (d_src, node.mast_height, pos[..., 0], pos[..., 1],
-            unit[..., 0], unit[..., 1], peer_pos[..., 0], peer_pos[..., 1])
+            unit[..., 0], unit[..., 1])
 
 
-def _crest_geometry(side, wave, time_phase, extra_dist, h, dist, tmp, bits):
+def _crest_geometry(side, peer, wave, time_phase, extra_dist, h, dist, tmp,
+                    bits):
     """Write into h the antenna height of the side's node, and into dist the
-    horizontal distance from the peer antenna to the node's nearest crest."""
-    d_src, mast, x, y, ux, uy, peer_x, peer_y = side
+    horizontal distance from the peer's antenna to the node's nearest crest."""
+    d_src, mast, x, y, ux, uy = side
     heave, shift = _heave_and_shift(
         wave, _wave_phase(d_src, extra_dist, time_phase, wave, h), dist, *bits)
     np.add(heave, mast, out=h)
     np.multiply(shift, ux, out=tmp)
     np.add(x, tmp, out=tmp)
-    np.subtract(peer_x, tmp, out=tmp)
+    np.subtract(peer[2], tmp, out=tmp)
     np.multiply(shift, uy, out=dist)
     np.add(y, dist, out=dist)
-    np.subtract(peer_y, dist, out=dist)
+    np.subtract(peer[3], dist, out=dist)
     return np.hypot(tmp, dist, out=dist)
 
 
@@ -233,23 +229,30 @@ def _link_distance(tx: FloatingNode, rx: FloatingNode):
     return d
 
 
-def _los_mask(d, side_t, side_r, wave, t, off_t, off_r, f, bits):
-    """LoS flags of a link, over time samples and per-buoy phase offsets or
-    over a batch of buoys, written into bits[0]; the two antenna heights are
-    left in f[1] (tx) and f[3] (rx).
+def _los_mask(d, side_t, side_r, wave, t, off_t=0.0, off_r=0.0):
+    """(los, h_t, h_r) of a link, over time samples and per-buoy phase
+    offsets or over a batch of buoys: los is True where the ray clears both
+    nearest crests, and h_t and h_r are the two antenna heights.
 
     d, side_t and side_r are the link's per-call constants (_link_distance
-    and _side).  f holds six float buffers and bits two bool ones, each of
-    the broadcast shape of t, the offsets and the nodes.  t, off_t and off_r
-    may be f[0], f[1] and f[3]: each is read before its buffer is written.
+    and _side).  Each output has the broadcast shape of t, the offsets and
+    d; a flat sea is line-of-sight everywhere, at the two masts' heights.
     """
-    time_phase, h_t, dist_t, h_r, dist_r, tmp = f
+    shape = np.broadcast(t, off_t, off_r, d).shape
+    if wave.a == 0:
+        return (np.ones(shape, dtype=bool),
+                np.full(shape, side_t[1], dtype=float),
+                np.full(shape, side_r[1], dtype=float))
+    time_phase, h_t, dist_t, h_r, dist_r, tmp = _scratch(6, shape)
+    bits = _scratch(2, shape, bool)
     _time_phase(wave, t, time_phase)
-    _crest_geometry(side_t, wave, time_phase, off_t, h_t, dist_t, tmp, bits)
-    _crest_geometry(side_r, wave, time_phase, off_r, h_r, dist_r, tmp, bits)
+    _crest_geometry(side_t, side_r, wave, time_phase, off_t, h_t, dist_t, tmp,
+                    bits)
+    _crest_geometry(side_r, side_t, wave, time_phase, off_r, h_r, dist_r, tmp,
+                    bits)
     # arctan2 handles a crest exactly under the peer antenna (dist -> 0).
     # The time phase is spent: its buffer takes each crest-top difference,
-    # so the antenna heights stay in h_t and h_r for the caller.
+    # so the antenna heights stay in h_t and h_r.
     phi_t = np.arctan2(np.subtract(h_r, h_t, out=tmp), d, out=tmp)
     psi_t = np.arctan2(np.subtract(h_r, wave.a, out=time_phase), dist_t,
                        out=dist_t)
@@ -257,7 +260,7 @@ def _los_mask(d, side_t, side_r, wave, t, off_t, off_r, f, bits):
                        out=dist_r)
     mask = np.less_equal(phi_t, psi_t, out=bits[0])
     np.less_equal(np.negative(phi_t, out=phi_t), psi_r, out=bits[1])
-    return np.logical_and(mask, bits[1], out=mask)
+    return np.logical_and(mask, bits[1], out=mask), h_t, h_r
 
 
 def los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField, t):
@@ -266,44 +269,32 @@ def los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField, t):
     crests, and h_tx and h_rx are the two antenna heights above the mean sea
     level.  Each array is (I,) when tx or rx is a batch of I buoys, 0-d for
     two single buoys."""
-    d = _link_distance(tx, rx)
-    shape = np.broadcast(t, d).shape
-    if wave.a == 0:
-        return (np.ones(shape, dtype=bool),
-                np.full(shape, tx.mast_height, dtype=float),
-                np.full(shape, rx.mast_height, dtype=float))
-    f = _scratch(6, shape)
-    los = _los_mask(d, _side(tx, rx, wave), _side(rx, tx, wave), wave, t,
-                    0.0, 0.0, f, _scratch(2, shape, bool))
-    return los, f[1], f[3]
+    return _los_mask(_link_distance(tx, rx), _side(tx, wave), _side(rx, wave),
+                     wave, t)
 
 
-def los_probability(state: SeaState, tx: FloatingNode, rx: FloatingNode,
-                    samples: int, seed, source=DEFAULT_WAVE_SOURCE) -> float:
-    """Fraction of LoS instants over random times and buoy phase offsets."""
+def los_probability(tx: FloatingNode, rx: FloatingNode, wave: WaveField,
+                    samples: int, seed) -> float:
+    """Fraction of LoS instants of the Tx-Rx link over samples random times
+    and buoy phase offsets drawn from seed, judged LOS_CHUNK at a time."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    wave = wave_from_sea_state(state, source)
-    if wave.a == 0:
-        return 1.0
     d = _link_distance(tx, rx)
-    side_t, side_r = _side(tx, rx, wave), _side(rx, tx, wave)
-    # t, off_t and off_r are the three consecutive runs of `samples` draws of
-    # one generator; a generator on the same seed advanced to the start of
-    # each run draws that run slice by slice.  uniform(0, span) returns
-    # 0 + span * random(), which is exactly span * random().
+    side_t, side_r = _side(tx, wave), _side(rx, wave)
+    # the times and the two offsets are the three consecutive runs of
+    # `samples` draws of one generator; a generator on the same seed
+    # advanced to the start of each run draws that run slice by slice.
+    # uniform(0, span) returns 0 + span * random(), exactly span * random().
     draws = [(np.random.Generator(np.random.PCG64(seed).advance(k * samples)),
               span) for k, span in enumerate((wave.T_wave, wave.l, wave.l))]
-    size = min(samples, LOS_CHUNK)
-    f, b = _scratch(6, (size,)), _scratch(2, (size,), bool)
+    buffers = _scratch(3, (min(samples, LOS_CHUNK),))
     # the count is an exact integer, so the slicing cannot change the mean
     count = 0
     for s in range(0, samples, LOS_CHUNK):
         n = min(LOS_CHUNK, samples - s)
-        fs, bs = [row[:n] for row in f], [row[:n] for row in b]
-        t, off_t, off_r = fs[0], fs[1], fs[3]
-        for (gen, span), out in zip(draws, (t, off_t, off_r)):
+        parts = [row[:n] for row in buffers]
+        for (gen, span), out in zip(draws, parts):
             np.multiply(span, gen.random(out=out), out=out)
         count += int(np.count_nonzero(
-            _los_mask(d, side_t, side_r, wave, t, off_t, off_r, fs, bs)))
+            _los_mask(d, side_t, side_r, wave, *parts)[0]))
     return count / samples

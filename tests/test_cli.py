@@ -288,7 +288,7 @@ from marisim import cli
 
 method, ini, out = sys.argv[1:]
 multiprocessing.set_start_method(method)
-os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 sys.exit(cli.main(["sweep", "--config", ini, "--var", "hr0", "--values",
                    "5,7", "--trials", "2", "--jobs", "2", "--out", out]))
 """

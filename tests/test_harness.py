@@ -45,7 +45,7 @@ from marisim.harness import (
     write_blocks,
 )
 from marisim.optimizer import OptimizerConfig
-from marisim.sea_surface import FloatingNode, sea_state
+from marisim.sea_surface import FloatingNode, sea_state, wave_from_sea_state
 
 
 FORKS = ("fork" in multiprocessing.get_all_start_methods()
@@ -69,6 +69,17 @@ def map_widths(monkeypatch):
 
     monkeypatch.setattr(harness, "_ordered_map", spy)
     return widths
+
+
+def set_cpus(monkeypatch, n):
+    """Let this process run on n CPUs, as _map_width counts them; None
+    stands for a platform that reports neither an affinity nor a count."""
+    if n is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
 
 
 def small_cfg(sea=5, N=8, M=2, mean_iots=2.0, seed=0, **estimation):
@@ -202,23 +213,37 @@ def test_run_cell_is_deterministic_across_workers():
 def test_run_cell_caps_the_pool_at_trials_and_cpus(monkeypatch, map_widths):
     cfg = small_cfg(seed=9)
     serial = run_cell(cfg, trials=4, cell_idx=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3)
     for jobs, trials in ((10 ** 6, 4), (10 ** 6, 2), (2, 4), (1, 4)):
         runs = run_cell(cfg, trials=trials, cell_idx=1, n_jobs=jobs)
         assert [r.rate_ris for r in runs] == [r.rate_ris for r in serial[:trials]]
     assert map_widths == [3, 2, 2]   # --jobs 1 forks no helper
     # an unknown CPU count runs the cell in this process
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    set_cpus(monkeypatch, None)
     run_cell(cfg, trials=2, cell_idx=1, n_jobs=8)
     assert map_widths == [3, 2, 2]
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
+def test_map_width_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # a 64-CPU host seen through a one-CPU affinity mask, as under taskset
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert harness._map_width(30) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9})
+    assert harness._map_width(30) == 3
+    # without an affinity call the count of the host's CPUs bounds the map
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._map_width(30) == 30
+
+
+@needs_fork
 def test_run_sweep_maps_every_cell_through_one_pool(monkeypatch, map_widths):
     cfg = small_cfg(seed=8)
     serial = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3)
     pooled = run_sweep(cfg, "hr0", [3.0, 5.0, 7.0], trials=2, n_jobs=2)
     assert map_widths == [2]
     assert pooled == serial
@@ -228,7 +253,7 @@ def test_run_sweep_maps_every_cell_through_one_pool(monkeypatch, map_widths):
 def test_failed_cell_flushes_partial_results_through_one_pool(tmp_path,
                                                               monkeypatch,
                                                               map_widths):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3)
     cfg = small_cfg(N=4, seed=1, t_pilot_len=1000)
     out = tmp_path / "partial.csv"
     with pytest.raises(ConfigError, match="sounding blocks"):
@@ -273,6 +298,16 @@ def test_trial_tasks_take_no_memory_before_the_first_interval(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(allocated) == 1 and allocated[0] < 1 << 20, allocated
+
+
+def test_unknown_sweep_variable_raises_before_any_interval(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_coherence_interval",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="unknown sweep variable 'wind'; "
+                                          "choose from hr0, n, pmax, sea"):
+        run_sweep(small_cfg(), "wind", [1.0, 2.0], trials=2)
+    assert calls == []
 
 
 def test_sweep_past_the_cell_cap_raises_before_building_cells(monkeypatch):
@@ -482,9 +517,9 @@ def test_split_table_is_byte_identical_to_inline(cpus, monkeypatch):
     monkeypatch.setattr(harness, "ROWS_PER_BLOCK", 64)
     table = mixed_table(4 * harness.BLOCKS_PER_PROCESS + 2)   # ends on helpers
     for fmt in ("csv", "structured"):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        set_cpus(monkeypatch, 1)
         inline = list(format_table(table, fmt))
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        set_cpus(monkeypatch, cpus)
         first, rest = started_blocks(table, fmt)
         assert [first, *rest] == inline
         assert multiprocessing.active_children() == []
@@ -512,7 +547,7 @@ def large_table_text():
                          ids=["sweep", "los_table", "large_table"])
 def test_helpers_start_only_under_fork_with_no_other_thread(run, monkeypatch,
                                                             map_widths):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     forked = run()
     assert map_widths == [2]
     release = threading.Event()
@@ -549,7 +584,7 @@ def test_pathloss_stdout_equals_out_file_and_inline(tmp_path, monkeypatch):
                        stdout=fh, env=env, check=True, timeout=120)
     subprocess.run([sys.executable, "-m", "marisim.cli", *argv, "--out",
                     str(out)], env=env, check=True, timeout=120)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    set_cpus(monkeypatch, 1)
     table = pathloss_table(ScenarioConfig(),
                            np.linspace(50.0, 2000.0, 100_000))
     inline = "".join(format_table(table)).encode()
@@ -558,7 +593,7 @@ def test_pathloss_stdout_equals_out_file_and_inline(tmp_path, monkeypatch):
 
 @needs_fork
 def test_closing_blocks_early_stops_every_helper(monkeypatch, tmp_path):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3)
     _, blocks = started_blocks(mixed_table(3 * harness.BLOCKS_PER_PROCESS))
     blocks.close()
     assert multiprocessing.active_children() == []
@@ -572,7 +607,7 @@ def test_closing_blocks_early_stops_every_helper(monkeypatch, tmp_path):
 @needs_fork
 def test_dead_helper_raises_and_never_truncates_silently(monkeypatch, capsys,
                                                          tmp_path):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     # each block outgrows a pipe's buffer, so the helper still waits to
     # send its first block when it is killed
     _, blocks = started_blocks(mixed_table(3 * harness.BLOCKS_PER_PROCESS))
@@ -640,7 +675,7 @@ import dataclasses, multiprocessing, os, signal, sys
 from marisim import cli, config, harness
 
 parent, interval = os.getpid(), harness.run_coherence_interval
-os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 
 
 def killed_on_a_helper(cfg, rng):
@@ -731,11 +766,10 @@ def per_cell_reference(cfg, states, heights, samples):
     tx = FloatingNode(position=cfg.geometry.turbine_position,
                       mast_height=cfg.geometry.iot_mast_m)
     return [sea_surface.los_probability(
-                sea_state(level), tx,
-                FloatingNode(position=cfg.geometry.rx_position,
-                             mast_height=h),
-                samples, seed=[cfg.seed, si, hi],
-                source=cfg.geometry.wave_source)
+                tx, FloatingNode(position=cfg.geometry.rx_position,
+                                 mast_height=h),
+                wave_from_sea_state(sea_state(level), cfg.geometry.wave_source),
+                samples, seed=[cfg.seed, si, hi])
             for si, level in enumerate(states)
             for hi, h in enumerate(heights)]
 
@@ -747,7 +781,7 @@ def test_los_probability_table_equals_per_cell_calls(cpus, monkeypatch,
     cfg = small_cfg(seed=4)
     states, heights = [3, 8, 5], [2.0, 30.0]
     reference = per_cell_reference(cfg, states, heights, 700)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    set_cpus(monkeypatch, cpus)
     table = los_probability_table(cfg, states, heights, samples=700)
     assert table["los_prob"].tolist() == reference
     assert map_widths == ([] if cpus == 1 else [cpus])
@@ -759,13 +793,13 @@ def test_los_probability_table_keeps_cell_order_when_cells_finish_late(
     reference = per_cell_reference(cfg, [3, 7], [2.0, 30.0], 300)
     calls = sea_surface.los_probability
 
-    def first_cell_slow(state, tx, rx, samples, seed, source):
+    def first_cell_slow(tx, rx, wave, samples, seed):
         if seed[1:] == [0, 0]:
             time.sleep(0.2)   # the helper finishes its cells first
-        return calls(state, tx, rx, samples, seed=seed, source=source)
+        return calls(tx, rx, wave, samples, seed)
 
     monkeypatch.setattr(sea_surface, "los_probability", first_cell_slow)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     table = los_probability_table(cfg, [3, 7], [2.0, 30.0], samples=300)
     assert table["los_prob"].tolist() == reference
 
@@ -774,14 +808,14 @@ def test_los_probability_table_keeps_cell_order_when_cells_finish_late(
 def test_los_probability_table_pool_is_capped_at_cells_and_cpus(
         monkeypatch, map_widths):
     cfg = small_cfg(seed=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3)
     for states, heights in (([3, 7], [2.0, 5.0, 30.0]),   # 6 cells, 3 CPUs
                             ([3], [2.0, 30.0]),           # 2 cells
                             ([5], [10.0])):               # 1 cell: no helper
         los_probability_table(cfg, states, heights, samples=50)
         assert multiprocessing.active_children() == []
     assert map_widths == [3, 2]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    set_cpus(monkeypatch, None)
     los_probability_table(cfg, [3, 7], [2.0], samples=50)
     assert map_widths == [3, 2]
 
@@ -790,10 +824,10 @@ def failing_cell(calls, cell):
     """calls, the los_probability function, raising on one (state index,
     height index) cell."""
 
-    def failing(state, tx, rx, samples, seed, source):
+    def failing(tx, rx, wave, samples, seed):
         if seed[1:] == cell:
             raise FloatingPointError(f"overflow in cell {tuple(cell)}")
-        return calls(state, tx, rx, samples, seed=seed, source=source)
+        return calls(tx, rx, wave, samples, seed)
 
     return failing
 
@@ -801,7 +835,7 @@ def failing_cell(calls, cell):
 @needs_fork
 def test_failing_los_cell_propagates_and_leaves_no_helper(monkeypatch,
                                                           capsys):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     # of the four cells on two processes, (0, 1) is the helper's and (1, 0)
     # this process's
     calls = sea_surface.los_probability

@@ -26,7 +26,6 @@ from marisim.sea_surface import (
     _los_mask,
     _scratch,
     _side,
-    _source_distance,
     _time_phase,
     _wave_phase,
     los_probability,
@@ -57,7 +56,7 @@ def node_height(node, wave, t):
 def node_phase(node, wave, t):
     """Sine argument at a single node at time t, as the LoS kernel forms it."""
     time_phase, phase = _scratch(2, ())
-    return _wave_phase(_source_distance(node, wave), 0.0,
+    return _wave_phase(_side(node, wave)[0], 0.0,
                        _time_phase(wave, t, time_phase), wave, phase)
 
 
@@ -69,12 +68,9 @@ def crest_shift(wave, phase):
 
 
 def kernel_mask(tx, rx, wave, t, off_t=0.0, off_r=0.0):
-    """One _los_mask call over buffers of the broadcast shape."""
-    d = _link_distance(tx, rx)
-    shape = np.broadcast(t, off_t, off_r, d).shape
-    return _los_mask(d, _side(tx, rx, wave), _side(rx, tx, wave), wave,
-                     t, off_t, off_r, _scratch(6, shape),
-                     _scratch(2, shape, bool))
+    """The LoS flags of one _los_mask call."""
+    return _los_mask(_link_distance(tx, rx), _side(tx, wave), _side(rx, wave),
+                     wave, t, off_t, off_r)[0]
 
 
 def test_table_lookup_and_level_folding():
@@ -167,6 +163,11 @@ def test_angle_helpers_validate_distances():
             los_state(node, node, wave, 1.0)
         with pytest.raises(ValueError):
             los_state(batch, node, wave, 1.0)
+        with pytest.raises(ValueError, match="co-located"):
+            los_probability(node, node, wave, 10, seed=1)
+        # a flat sea checks the geometry too
+        with pytest.raises(ValueError, match="wave source"):
+            los_state(FloatingNode(wave.source, 2.0), node, wave, 1.0)
 
 
 def test_flat_sea_is_always_line_of_sight():
@@ -211,57 +212,23 @@ def test_batch_los_state_equals_single_calls(level):
 def test_los_probability_bounds_and_determinism():
     tx = FloatingNode((0.0, 0.0), 2.0)
     rx = FloatingNode((200.0, 0.0), 5.0)
-    state = sea_state(6)
-    p1 = los_probability(state, tx, rx, samples=2000, seed=5)
-    p2 = los_probability(state, tx, rx, samples=2000, seed=5)
+    wave = default_wave(6)
+    p1 = los_probability(tx, rx, wave, samples=2000, seed=5)
+    p2 = los_probability(tx, rx, wave, samples=2000, seed=5)
     assert 0.0 <= p1 <= 1.0
     assert p1 == p2
-    flat = SeaState("flat", (0.0, 0.1), 0.0, (3.0, 15.0), 7.0)
-    assert los_probability(flat, tx, rx, samples=10, seed=5) == 1.0
+    flat = WaveField(a=0.0, l=76.5, T_wave=7.0)
+    assert los_probability(tx, rx, flat, samples=10, seed=5) == 1.0
     with pytest.raises(ValueError):
-        los_probability(state, tx, rx, samples=0, seed=5)
+        los_probability(tx, rx, wave, samples=0, seed=5)
 
 
 def test_rough_sea_blocks_low_antennas_more_often():
     tx = FloatingNode((0.0, 0.0), 2.0)
     rx = FloatingNode((200.0, 0.0), 2.0)
-    p_mild = los_probability(sea_state(3), tx, rx, samples=4000, seed=9)
-    p_rough = los_probability(sea_state(8), tx, rx, samples=4000, seed=9)
+    p_mild = los_probability(tx, rx, default_wave(3), samples=4000, seed=9)
+    p_rough = los_probability(tx, rx, default_wave(8), samples=4000, seed=9)
     assert p_rough < p_mild
-
-
-def reference_los_mask(tx, rx, wave, t, tx_extra_dist=0.0, rx_extra_dist=0.0):
-    """The LoS test as first written, one helper call per quantity: each
-    side's phase, height and crest shift from its own sin and cos, and the
-    crests as (n, 2) positions."""
-    def distance(a, b):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
-
-    def phase(node, extra):
-        d_r = distance(node.position, wave.source) + np.asarray(extra, dtype=float)
-        return (2.0 * np.pi * np.mod(d_r, wave.l) / wave.l
-                + 2.0 * np.pi * np.mod(np.asarray(t, dtype=float), wave.T_wave)
-                / wave.T_wave)
-
-    def peak(node, ph):
-        delta = wave.a * np.sin(ph)
-        frac = (wave.a - delta) / (4.0 * wave.a)
-        shift = np.where(np.cos(ph) >= 0.0, wave.l * frac, wave.l * (1.0 - frac))
-        unit = ((np.asarray(node.position, dtype=float) - wave.source)
-                / distance(node.position, wave.source)[..., None])
-        return node.position + shift[..., None] * unit
-
-    d = distance(tx.position, rx.position)
-    ph_t, ph_r = phase(tx, tx_extra_dist), phase(rx, rx_extra_dist)
-    h_t = wave.a * np.sin(ph_t) + tx.mast_height
-    h_r = wave.a * np.sin(ph_r) + rx.mast_height
-    dist_t = distance(rx.position, peak(tx, ph_t))
-    dist_r = distance(tx.position, peak(rx, ph_r))
-    phi_t = np.arctan2(h_r - h_t, d)
-    psi_t = np.arctan2(h_r - wave.a, dist_t)
-    psi_r = np.arctan2(h_t - wave.a, dist_r)
-    return (phi_t <= psi_t) & (-phi_t <= psi_r)
 
 
 def sampler_draws(wave, samples, seed):
@@ -281,7 +248,7 @@ def test_los_mask_is_bit_equal_to_the_reference(level):
     for h in (2.0, 10.0, 30.0):
         rx = FloatingNode((180.0, 70.0), h)
         mask = kernel_mask(tx, rx, wave, t, off_t, off_r)
-        ref = reference_los_mask(tx, rx, wave, t, off_t, off_r)
+        ref = oracle_los_mask(tx, rx, wave, t, off_t, off_r)
         assert mask.dtype == bool and np.array_equal(mask, ref)
 
 
@@ -293,7 +260,7 @@ def test_batch_los_mask_is_bit_equal_to_the_reference(level):
     rx = FloatingNode((200.0, 0.0), 5.0)
     for t in (0.0, 4.2, wave.T_wave):
         flags = los_state(batch, rx, wave, t)[0]
-        assert np.array_equal(flags, reference_los_mask(batch, rx, wave, t))
+        assert np.array_equal(flags, oracle_los_mask(batch, rx, wave, t))
 
 
 @pytest.mark.parametrize("samples", [1, LOS_CHUNK - 1, LOS_CHUNK,
@@ -301,11 +268,10 @@ def test_batch_los_mask_is_bit_equal_to_the_reference(level):
 def test_chunked_los_probability_equals_the_reference_mean(samples):
     tx = FloatingNode((0.0, 0.0), 2.0)
     rx = FloatingNode((200.0, 0.0), 5.0)
-    state = sea_state(6)
-    wave = wave_from_sea_state(state)
+    wave = default_wave(6)
     t, off_t, off_r = sampler_draws(wave, samples, 11)
-    expected = float(np.mean(reference_los_mask(tx, rx, wave, t, off_t, off_r)))
-    assert los_probability(state, tx, rx, samples, seed=11) == expected
+    expected = float(np.mean(oracle_los_mask(tx, rx, wave, t, off_t, off_r)))
+    assert los_probability(tx, rx, wave, samples, seed=11) == expected
     if samples > 1:
         assert 0.0 < expected < 1.0
 
@@ -439,7 +405,8 @@ def test_los_probability_equals_the_whole_array_oracle(level):
             for samples in (1, LOS_CHUNK - 1, LOS_CHUNK, LOS_CHUNK + 1,
                             20_001):
                 seed = [7, samples]
-                assert (los_probability(state, tx, rx, samples, seed, source)
+                wave = wave_from_sea_state(state, source)
+                assert (los_probability(tx, rx, wave, samples, seed)
                         == oracle_los_probability(state, tx, rx, samples,
                                                   seed, source))
 
@@ -486,7 +453,7 @@ def test_los_probability_memory_does_not_grow_with_samples():
     rx = FloatingNode((200.0, 0.0), 5.0)
     tracemalloc.start()
     try:
-        los_probability(sea_state(6), tx, rx, 2_000_000, seed=1)
+        los_probability(tx, rx, default_wave(6), 2_000_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
