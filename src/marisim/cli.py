@@ -15,10 +15,10 @@ import sys
 import numpy as np
 
 from . import (channel, energy, estimation, harness, optimizer, ris_system,
-               sea_surface)
+               sea_surface, tables)
 from .config import (ConfigError, SWEEP_VARIABLES, ScenarioConfig, _parse,
-                     load_config, sea_level)
-from .sea_surface import FloatingNode, sea_state, wave_from_sea_state
+                     _replace, load_config, sea_level)
+from .sea_surface import sea_state
 
 
 # pathloss holds every column of its table in memory at once: at this cap one
@@ -40,9 +40,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="marisim",
                      description="RIS-assisted maritime IoT uplink simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)   # every table's options
+    common.add_argument("--config", help="scenario INI file")
+    common.add_argument("--out", help="output path (default stdout)")
+    common.add_argument("--format", choices=tables.FORMATS, default="csv")
+    table_parser = functools.partial(sub.add_parser, parents=[common])
 
-    sweep = sub.add_parser("sweep", help="Monte-Carlo sweep over one variable")
-    sweep.add_argument("--config", help="scenario INI file")
+    sweep = table_parser("sweep", help="Monte-Carlo sweep over one variable")
     sweep.add_argument("--var", required=True, choices=SWEEP_VARIABLES)
     sweep.add_argument("--values", required=True,
                        help="comma-separated sweep values")
@@ -50,31 +54,23 @@ def _build_parser() -> _Parser:
                        "the values with (default: the scenario's)")
     sweep.add_argument("--trials", type=int, default=100)
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--out", default=None, help="output path (default stdout)")
-    sweep.add_argument("--format", choices=["csv", "structured"], default="csv")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes, at least 1, at most one per "
                             "CPU and per trial (results identical for any "
                             "value)")
 
-    los = sub.add_parser("los-prob", help="LoS probability vs receiver height")
-    los.add_argument("--config", help="scenario INI file")
+    los = table_parser("los-prob", help="LoS probability vs receiver height")
     los.add_argument("--states", default="3,4,5,6,7",
                      help="comma-separated sea states")
     los.add_argument("--heights", default="2,5,10,20,30",
                      help="comma-separated receiver mast heights, m")
     los.add_argument("--samples", type=int, default=10_000)
     los.add_argument("--seed", type=int, default=None)
-    los.add_argument("--out", default=None)
-    los.add_argument("--format", choices=["csv", "structured"], default="csv")
 
-    pl = sub.add_parser("pathloss", help="path loss of each model vs distance")
-    pl.add_argument("--config", help="scenario INI file")
+    pl = table_parser("pathloss", help="path loss of each model vs distance")
     pl.add_argument("--d-min", type=float, default=50.0)
     pl.add_argument("--d-max", type=float, default=2000.0)
     pl.add_argument("--points", type=int, default=391)
-    pl.add_argument("--out", default=None)
-    pl.add_argument("--format", choices=["csv", "structured"], default="csv")
 
     sub.add_parser("validate", help="run the built-in invariant suite")
     return parser
@@ -94,14 +90,14 @@ def _write_output(blocks, out) -> None:
     if out is None:
         sys.stdout.writelines(blocks)
     else:
-        harness.write_blocks(blocks, out)
+        tables.write_blocks(blocks, out)
 
 
 def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
     values = _parse_values(args.values, SWEEP_VARIABLES[args.var][0])
     states = (None if args.states is None
               else _parse_values(args.states, sea_level, "sea state"))
-    if args.jobs > 1 and harness._map_width(args.jobs) == 1:
+    if args.jobs > 1 and tables._map_width(args.jobs) == 1:
         print(f"note: --jobs {args.jobs} runs in one process: helpers are "
               "forked only where the start method is fork or forkserver, no "
               "other thread is alive and there is more than one CPU",
@@ -109,7 +105,7 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
     table = harness.run_sweep(cfg, args.var, values, args.trials,
                               sea_states=states, n_jobs=args.jobs,
                               flush_path=args.out, flush_format=args.format)
-    _write_output(harness.format_table(table, args.format), args.out)
+    _write_output(tables.format_table(table, args.format), args.out)
     return 0
 
 
@@ -118,9 +114,9 @@ def _cmd_los_prob(cfg: ScenarioConfig, args) -> int:
     heights = _parse_values(args.heights, float, "receiver mast height")
     if args.samples < 1 or min(heights) <= 0:
         raise ConfigError("need samples >= 1 and positive mast heights")
-    table = harness.los_probability_table(cfg, states, heights,
-                                          samples=args.samples)
-    _write_output(harness.format_table(table, args.format), args.out)
+    table = tables.los_probability_table(cfg, states, heights,
+                                         samples=args.samples)
+    _write_output(tables.format_table(table, args.format), args.out)
     return 0
 
 
@@ -130,8 +126,8 @@ def _cmd_pathloss(cfg: ScenarioConfig, args) -> int:
         raise ConfigError("need finite 0 < d_min < d_max and "
                           f"2 <= points <= {MAX_PATHLOSS_POINTS}")
     d_values = np.linspace(args.d_min, args.d_max, args.points)
-    table = harness.pathloss_table(cfg, d_values)
-    _write_output(harness.format_table(table, args.format), args.out)
+    table = tables.pathloss_table(cfg, d_values)
+    _write_output(tables.format_table(table, args.format), args.out)
     return 0
 
 
@@ -207,15 +203,10 @@ def _check_pathloss_ordering():
 
 
 def _tiny_config() -> ScenarioConfig:
-    cfg = ScenarioConfig(sea_state=5, seed=7)
-    cfg = dataclasses.replace(
-        cfg,
-        geometry=dataclasses.replace(cfg.geometry, mean_iot_count=2.0),
-        radio=dataclasses.replace(cfg.radio, m_antennas=2, n_elements=8),
-        optimizer=dataclasses.replace(cfg.optimizer, sdp_tol=1e-4,
-                                      sdp_max_iter=200,
-                                      randomization_draws=20))
-    return cfg
+    return _replace(ScenarioConfig(sea_state=5, seed=7), {
+        "geometry.mean_iot_count": 2.0, "radio.m_antennas": 2,
+        "radio.n_elements": 8, "optimizer.sdp_tol": 1e-4,
+        "optimizer.sdp_max_iter": 200, "optimizer.randomization_draws": 20})
 
 
 def _check_sweep_determinism():
@@ -224,7 +215,7 @@ def _check_sweep_determinism():
     for jobs in (1, 1, 2):
         # two cells, so the parallel run maps both through one ordered map
         table = harness.run_sweep(cfg, "hr0", [5.0, 7.0], 2, n_jobs=jobs)
-        texts.append("".join(harness.format_table(table, "csv")))
+        texts.append("".join(tables.format_table(table, "csv")))
     assert texts[0] == texts[1], "repeat run differs"
     assert texts[0] == texts[2], "parallel run differs"
 
@@ -232,22 +223,12 @@ def _check_sweep_determinism():
 def _check_los_table_determinism():
     cfg = ScenarioConfig(seed=5)
     states, heights, samples = (3, 8), (2.0, 30.0), 4000
-    tx = FloatingNode(position=cfg.geometry.turbine_position,
-                      mast_height=cfg.geometry.iot_mast_m)
     # the cells one by one in this process, against the table's ordered map
-    serial = [sea_surface.los_probability(
-                  tx, FloatingNode(position=cfg.geometry.rx_position,
-                                   mast_height=h),
-                  wave_from_sea_state(sea_state(level),
-                                      cfg.geometry.wave_source),
-                  samples, [cfg.seed, si, hi])
-              for si, level in enumerate(states)
-              for hi, h in enumerate(heights)]
-    reference = {"sea_state": np.repeat(states, len(heights)),
-                 "h_r0_m": np.tile(heights, len(states)),
-                 "los_prob": np.array(serial)}
-    table = harness.los_probability_table(cfg, states, heights, samples)
-    texts = ["".join(harness.format_table(t, "csv")) for t in (reference, table)]
+    serial = [sea_surface.los_probability(tx, rx, wave, samples, seed)
+              for tx, rx, wave, seed in tables._los_cells(cfg, states, heights)]
+    table = tables.los_probability_table(cfg, states, heights, samples)
+    reference = dict(table, los_prob=np.array(serial))
+    texts = ["".join(tables.format_table(t, "csv")) for t in (reference, table)]
     assert texts[0] == texts[1], "table differs from the serial cells"
 
 
@@ -255,12 +236,12 @@ def _check_table_emission_determinism():
     # enough blocks that the emitter splits them across helper processes
     # wherever it can, the last one a helper's on two processes, against the
     # same table formatted in this process
-    n = (2 * harness.BLOCKS_PER_PROCESS + 1) * harness.ROWS_PER_BLOCK + 7
+    n = (2 * tables.BLOCKS_PER_PROCESS + 1) * tables.ROWS_PER_BLOCK + 7
     x = np.random.default_rng(4).standard_normal(n)
     x[::5], x[1::7], x[2::11] = math.nan, math.inf, -math.inf
     table = {"k": np.arange(n), "s": ["hr0"] * n, "x": x, "y": x.tolist()}
     for structured in (False, True):
-        split, inline = ("".join(harness._blocks(table, structured, width))
+        split, inline = ("".join(tables._blocks(table, structured, width))
                          for width in (None, 1))
         assert split == inline, f"structured={structured} text differs"
 

@@ -28,16 +28,10 @@ from marisim.config import (
     ScenarioConfig,
     apply_sweep_value,
 )
-from marisim.harness import (
-    RESULT_COLUMNS,
-    format_table,
-    los_probability_table,
-    run_cell,
-    run_sweep,
-    write_blocks,
-)
+from marisim.harness import RESULT_COLUMNS, run_cell, run_sweep
 from marisim.optimizer import OptimizerConfig
 from marisim.sea_surface import sea_state
+from marisim.tables import format_table, los_probability_table, write_blocks
 from oracles import aligned_capacity_bound, brute_force_phases
 
 

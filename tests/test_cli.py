@@ -20,7 +20,7 @@ except ImportError:   # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
 
 import marisim
-from marisim import cli, harness, sea_surface
+from marisim import cli, harness, sea_surface, tables
 from marisim.cli import MAX_PATHLOSS_POINTS, main
 from marisim.config import load_config
 from marisim.harness import RESULT_COLUMNS
@@ -155,7 +155,7 @@ def test_sweep_states_cross_the_values(tiny_ini, tmp_path):
     assert texts["1"] == texts["2"]
     cfg = dataclasses.replace(load_config(tiny_ini), seed=6)
     table = harness.run_sweep(cfg, "pmax", [10.0, 20.0], 1, sea_states=[2, 5])
-    assert texts["1"] == "".join(harness.format_table(table)).encode()
+    assert texts["1"] == "".join(tables.format_table(table)).encode()
     assert [(float(r["value"]), int(r["sea_state"]))
             for r in read_csv(tmp_path / "jobs1.csv")] == [
         (10, 2), (10, 5), (20, 2), (20, 5)]
@@ -269,7 +269,7 @@ def test_usage_and_config_errors_exit_1(argv, capsys, tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run_coherence_interval",
                         lambda *args: calls.append(args))
-    monkeypatch.setattr(harness.sea_surface, "los_probability",
+    monkeypatch.setattr(tables.sea_surface, "los_probability",
                         lambda *args, **kwargs: calls.append(args))
     ini = tmp_path / "b16.ini"   # 8 elements sounded in 16 sub-frames
     ini.write_text(TINY_INI.replace("[estimation]\n",

@@ -1,8 +1,10 @@
 """Monte-Carlo harness: deployment statistics, interval pipeline, sweeps,
 and deterministic result emission."""
 
+import ast
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from marisim import cli, harness, sea_surface
+from marisim import cli, harness, sea_surface, tables
 from marisim.config import (
     ConfigError,
     EstimationConfig,
@@ -33,19 +35,21 @@ from marisim.config import (
 from marisim.energy import available_tx_power, harvested_power
 from marisim.harness import (
     RESULT_COLUMNS,
-    _format_cell,
     aggregate_cell,
     deploy_iots,
-    format_table,
-    los_probability_table,
-    pathloss_table,
     run_cell,
     run_coherence_interval,
     run_sweep,
-    write_blocks,
 )
 from marisim.optimizer import OptimizerConfig
 from marisim.sea_surface import FloatingNode, sea_state, wave_from_sea_state
+from marisim.tables import (
+    _format_cell,
+    format_table,
+    los_probability_table,
+    pathloss_table,
+    write_blocks,
+)
 
 
 FORKS = ("fork" in multiprocessing.get_all_start_methods()
@@ -57,17 +61,17 @@ needs_fork = pytest.mark.skipif(not FORKS, reason="map helpers are forked")
 
 @pytest.fixture
 def map_widths(monkeypatch):
-    """The width of every harness._ordered_map call that forks helpers (a
+    """The width of every tables._ordered_map call that forks helpers (a
     width over 1); the map itself runs as usual."""
     widths = []
-    ordered_map = harness._ordered_map
+    ordered_map = tables._ordered_map
 
     def spy(fn, items, width):
         if width > 1:
             widths.append(width)
         return ordered_map(fn, items, width)
 
-    monkeypatch.setattr(harness, "_ordered_map", spy)
+    monkeypatch.setattr(tables, "_ordered_map", spy)
     return widths
 
 
@@ -231,12 +235,12 @@ def test_map_width_counts_the_cpus_this_process_may_run_on(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    assert harness._map_width(30) == 1
+    assert tables._map_width(30) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9})
-    assert harness._map_width(30) == 3
+    assert tables._map_width(30) == 3
     # without an affinity call the count of the host's CPUs bounds the map
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert harness._map_width(30) == 30
+    assert tables._map_width(30) == 30
 
 
 @needs_fork
@@ -334,9 +338,9 @@ def test_los_table_past_the_cell_cap_raises_before_building_cells(
     """101 sea states x 100 heights pass MAX_CELLS: los_probability_table
     raises after allocating under 1 MB, before any cell or node is built."""
     calls = []
-    monkeypatch.setattr(harness.sea_surface, "los_probability",
+    monkeypatch.setattr(tables.sea_surface, "los_probability",
                         lambda *args, **kwargs: calls.append(args))
-    monkeypatch.setattr(harness, "FloatingNode",
+    monkeypatch.setattr(tables, "FloatingNode",
                         lambda *args, **kwargs: calls.append(args))
     tracemalloc.start()
     try:
@@ -466,7 +470,7 @@ def test_format_table_matches_csv_writer_reference():
 
 def test_format_table_blocks_join_to_the_whole_text(monkeypatch):
     # block seams fall inside, at and past a block's last row
-    monkeypatch.setattr(harness, "ROWS_PER_BLOCK", 3)
+    monkeypatch.setattr(tables, "ROWS_PER_BLOCK", 3)
     for n in (0, 1, 3, 4, 7):
         table = {"s": ["a%s"] * n, "k%": list(range(n)),
                  "x": np.resize([math.nan, math.inf, -math.inf, 0.1, -0.0], n)}
@@ -494,7 +498,7 @@ def test_format_table_memory_stays_at_one_block():
 def mixed_table(n_blocks: int) -> dict:
     """int, str and float columns, with nan and +-inf, over n_blocks blocks
     of which the last is short."""
-    n = (n_blocks - 1) * harness.ROWS_PER_BLOCK + 5
+    n = (n_blocks - 1) * tables.ROWS_PER_BLOCK + 5
     x = np.random.default_rng(8).standard_normal(n) * 1e3
     x[::5], x[1::7], x[2::11] = math.nan, math.inf, -math.inf
     return {"sweep_var": ["hr0", "n", "sea"] * (n // 3) + ["pmax"] * (n % 3),
@@ -514,8 +518,8 @@ def started_blocks(table, fmt="csv"):
 @needs_fork
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_split_table_is_byte_identical_to_inline(cpus, monkeypatch):
-    monkeypatch.setattr(harness, "ROWS_PER_BLOCK", 64)
-    table = mixed_table(4 * harness.BLOCKS_PER_PROCESS + 2)   # ends on helpers
+    monkeypatch.setattr(tables, "ROWS_PER_BLOCK", 64)
+    table = mixed_table(4 * tables.BLOCKS_PER_PROCESS + 2)   # ends on helpers
     for fmt in ("csv", "structured"):
         set_cpus(monkeypatch, 1)
         inline = list(format_table(table, fmt))
@@ -539,7 +543,7 @@ def los_table_text():
 
 
 def large_table_text():
-    return "".join(format_table(mixed_table(3 * harness.BLOCKS_PER_PROCESS)))
+    return "".join(format_table(mixed_table(3 * tables.BLOCKS_PER_PROCESS)))
 
 
 @needs_fork
@@ -594,7 +598,7 @@ def test_pathloss_stdout_equals_out_file_and_inline(tmp_path, monkeypatch):
 @needs_fork
 def test_closing_blocks_early_stops_every_helper(monkeypatch, tmp_path):
     set_cpus(monkeypatch, 3)
-    _, blocks = started_blocks(mixed_table(3 * harness.BLOCKS_PER_PROCESS))
+    _, blocks = started_blocks(mixed_table(3 * tables.BLOCKS_PER_PROCESS))
     blocks.close()
     assert multiprocessing.active_children() == []
     if os.path.exists("/dev/full"):   # a write error mid-table
@@ -610,7 +614,7 @@ def test_dead_helper_raises_and_never_truncates_silently(monkeypatch, capsys,
     set_cpus(monkeypatch, 2)
     # each block outgrows a pipe's buffer, so the helper still waits to
     # send its first block when it is killed
-    _, blocks = started_blocks(mixed_table(3 * harness.BLOCKS_PER_PROCESS))
+    _, blocks = started_blocks(mixed_table(3 * tables.BLOCKS_PER_PROCESS))
     [helper] = multiprocessing.active_children()
     os.kill(helper.pid, signal.SIGKILL)
     with pytest.raises(RuntimeError, match="helper process 1 ended"):
@@ -618,7 +622,7 @@ def test_dead_helper_raises_and_never_truncates_silently(monkeypatch, capsys,
     assert multiprocessing.active_children() == []
     # a helper that fails at once: exit 2 with the reason, through the CLI,
     # and the short --out file is removed
-    monkeypatch.setattr(harness, "_send_results", lambda *args: os._exit(3))
+    monkeypatch.setattr(tables, "_send_results", lambda *args: os._exit(3))
     out = tmp_path / "pathloss.csv"
     assert cli.main(["pathloss", "--points", "100000",
                      "--out", str(out)]) == 2
@@ -661,7 +665,7 @@ def test_ordered_map_raises_a_helpers_exception_at_its_index(width):
             raise ConfigError("item 5 is out of range")
         return b * b
 
-    results = harness._ordered_map(square, range(8), width)
+    results = tables._ordered_map(square, range(8), width)
     assert [next(results) for _ in range(5)] == [0, 1, 4, 9, 16]
     with pytest.raises(ConfigError, match="item 5 is out of range"):
         next(results)
@@ -883,3 +887,29 @@ def test_mean_rate_grows_with_receiver_mast_in_rough_seas():
             drops += 1
             assert -diff.mean() < diff.std(ddof=1) / math.sqrt(len(diff))
     assert drops <= 1
+
+
+def imported_modules(module) -> set:
+    """Names of the modules a module's source imports: top-level packages
+    of absolute imports, and marisim modules by their own names."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:   # from . import channel: the modules named
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_tables_and_harness_keep_to_their_own_concerns():
+    # the tables know no interval stage; the pipeline forks and writes
+    # nothing itself
+    assert imported_modules(tables).isdisjoint(
+        {"energy", "estimation", "optimizer", "ris_system", "harness"})
+    assert imported_modules(harness).isdisjoint(
+        {"json", "multiprocessing", "threading", "os"})
+    assert {"channel", "sea_surface", "config"} <= imported_modules(tables)
+    assert {"tables", "optimizer", "contextlib"} <= imported_modules(harness)

@@ -85,13 +85,19 @@ def test_readme_experiment_commands_write_each_grid(tmp_path):
 
 def test_readme_library_example_runs_as_written(capsys):
     """The README's library use, executed as written: it prints one mean
-    rate, so the documented call cannot drift from the API."""
+    rate and then a sweep's table through format_table, so neither the
+    documented calls nor the modules they are imported from can drift from
+    the API."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use")[1].split("\n## ")[0]
     [block] = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
     exec(compile(block, "README.md", "exec"), {})
-    mean_rate = float(capsys.readouterr().out)
+    first, *table = capsys.readouterr().out.splitlines()
+    mean_rate = float(first)
     assert np.isfinite(mean_rate) and mean_rate > 0
+    rows = list(csv.DictReader(table))
+    assert [(r["sweep_var"], float(r["value"]), r["trials"]) for r in rows] == [
+        ("hr0", 5.0, "10"), ("hr0", 10.0, "10")]
 
 
 def test_one_interval_sounds_the_schedule_once_and_estimates_once(monkeypatch):
