@@ -253,18 +253,25 @@ def run_cell(cfg: ScenarioConfig, trials: int, *, cell_idx: int = 0,
     return list(_map_trials([(cell_idx, cfg)], trials, n_jobs))
 
 
+def _mean(values) -> float:
+    return float(np.mean(values)) if len(values) else math.nan
+
+
 def aggregate_cell(records) -> dict:
     """Order-stable trial statistics (population std keeps one-trial cells
-    finite)."""
+    finite).  The LoS share and the transmit power are per-IoT figures, so
+    they average over the intervals that deployed an IoT, nan where none
+    did."""
     rate_ris = np.array([r.rate_ris for r in records])
     rate_noris = np.array([r.rate_noris for r in records])
+    deployed = [r for r in records if len(r.powers)]
     return {
         "mean_rate_ris": float(np.mean(rate_ris)),
         "std_rate_ris": float(np.std(rate_ris)),
         "mean_rate_noris": float(np.mean(rate_noris)),
         "std_rate_noris": float(np.std(rate_noris)),
-        "mean_los_prob": float(np.mean([r.los_frac for r in records])),
-        "mean_tx_power_w": float(np.mean([r.tx_power_w for r in records])),
+        "mean_los_prob": _mean([r.los_frac for r in deployed]),
+        "mean_tx_power_w": _mean([r.tx_power_w for r in deployed]),
     }
 
 

@@ -210,8 +210,8 @@ GOLDEN = [
      "4b4da6fb76c1326db8ab96be26cd1fd6044484427720fc80490268020159d1e8"),
     (["sweep", "--var", "hr0", "--values", "5,7", "--trials", "2",
       "--seed", "4"],
-     "fe6087c3f62b164be5a8e25cf13efbf7dfb874455ff4d7ae1b1cbeca6978180c",
-     "9b7d5d9e987d71da242f071b2e85bcbfcdb407658a881096044385b31d3808e4"),
+     "042157030e87a8833d6a3b0335faba8912f5a087a650a072df38ce99e18e33f8",
+     "daed51c83d9d7fa543c5d5653b8d26eaa185fc32e684b95efe3a386a3b050622"),
 ]
 
 

@@ -369,8 +369,32 @@ def test_aggregate_cell_statistics():
     rates = [r.rate_ris for r in records]
     assert agg["mean_rate_ris"] == pytest.approx(np.mean(rates))
     assert agg["std_rate_ris"] == pytest.approx(np.std(rates))
+    # the per-IoT columns average over the intervals that deployed an IoT;
+    # one of these five deployed none
+    deployed = [r for r in records if len(r.powers)]
+    assert len(deployed) == 4
     assert agg["mean_los_prob"] == pytest.approx(
-        np.mean([r.los_frac for r in records]))
+        np.mean([r.los_frac for r in deployed]))
+    assert agg["mean_tx_power_w"] == pytest.approx(deployed[0].tx_power_w)
+
+
+def test_cell_without_a_deployed_iot_reports_nan_los_share_and_power():
+    # an interval with no IoT has no link to be in LoS, and its power budget
+    # does not depend on the deployment, so it weighs in neither column
+    empty = run_cell(small_cfg(mean_iots=1e-12), trials=2)
+    assert [len(r.powers) for r in empty] == [0, 0]
+    agg = aggregate_cell(empty)
+    assert math.isnan(agg["mean_los_prob"])
+    assert math.isnan(agg["mean_tx_power_w"])
+    assert agg["mean_rate_ris"] == agg["mean_rate_noris"] == 0.0
+    full = run_cell(small_cfg(mean_iots=4.0), trials=3)
+    assert all(len(r.powers) for r in full)
+    mixed = aggregate_cell(empty + full)
+    assert mixed["mean_los_prob"] == aggregate_cell(full)["mean_los_prob"]
+    assert mixed["mean_tx_power_w"] == full[0].tx_power_w
+    text = "".join(format_table({"mean_los_prob": [agg["mean_los_prob"]]},
+                                "structured"))
+    assert math.isnan(json.loads(text)[0]["mean_los_prob"])
 
 
 def test_run_sweep_cell_grid_and_single_trial_reduction():
