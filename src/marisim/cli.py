@@ -16,13 +16,15 @@ import numpy as np
 
 from . import (channel, energy, estimation, harness, optimizer, ris_system,
                sea_surface, tables)
-from .config import (ConfigError, SWEEP_VARIABLES, ScenarioConfig, _parse,
-                     _replace, load_config, sea_level)
-from .sea_surface import sea_state
+from .config import (ConfigError, MAX_LENGTH_M, SWEEP_VARIABLES,
+                     ScenarioConfig, _parse, _replace, load_config, sea_level)
+from .sea_surface import MAX_LOS_SAMPLES, sea_state
 
 
 # pathloss holds every column of its table in memory at once: at this cap one
 # call peaks near 85 MB of RSS, and far larger counts would exhaust memory.
+# los-prob --samples is capped at sea_surface.MAX_LOS_SAMPLES, where one cell
+# takes a few seconds and its lattice indices still fit int64.
 MAX_PATHLOSS_POINTS = 1_000_000
 
 
@@ -64,8 +66,11 @@ def _build_parser() -> _Parser:
                      help="comma-separated sea states")
     los.add_argument("--heights", default="2,5,10,20,30",
                      help="comma-separated receiver mast heights, m")
-    los.add_argument("--samples", type=int, default=10_000)
-    los.add_argument("--seed", type=int, default=None)
+    los.add_argument("--samples", type=int, default=10_000,
+                     help="lattice points per cell")
+    los.add_argument("--seed", type=int, default=None,
+                     help="accepted as for sweep; the table does not depend "
+                          "on it")
 
     pl = table_parser("pathloss", help="path loss of each model vs distance")
     pl.add_argument("--d-min", type=float, default=50.0)
@@ -112,8 +117,10 @@ def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
 def _cmd_los_prob(cfg: ScenarioConfig, args) -> int:
     states = _parse_values(args.states, sea_level, "sea state")
     heights = _parse_values(args.heights, float, "receiver mast height")
-    if args.samples < 1 or min(heights) <= 0:
-        raise ConfigError("need samples >= 1 and positive mast heights")
+    if (not 1 <= args.samples <= MAX_LOS_SAMPLES
+            or not all(0 < h <= MAX_LENGTH_M for h in heights)):
+        raise ConfigError(f"need 1 <= samples <= {MAX_LOS_SAMPLES} and mast "
+                          f"heights in (0, {MAX_LENGTH_M:g}] m")
     table = tables.los_probability_table(cfg, states, heights,
                                          samples=args.samples)
     _write_output(tables.format_table(table, args.format), args.out)
@@ -224,12 +231,16 @@ def _check_los_table_determinism():
     cfg = ScenarioConfig(seed=5)
     states, heights, samples = (3, 8), (2.0, 30.0), 4000
     # the cells one by one in this process, against the table's ordered map
-    serial = [sea_surface.los_probability(tx, rx, wave, samples, seed)
-              for tx, rx, wave, seed in tables._los_cells(cfg, states, heights)]
+    serial = [sea_surface.los_probability(*cell, samples)
+              for cell in tables._los_cells(cfg, states, heights)]
     table = tables.los_probability_table(cfg, states, heights, samples)
+    reseeded = tables.los_probability_table(ScenarioConfig(seed=6), states,
+                                            heights, samples)
     reference = dict(table, los_prob=np.array(serial))
-    texts = ["".join(tables.format_table(t, "csv")) for t in (reference, table)]
+    texts = ["".join(tables.format_table(t, "csv"))
+             for t in (reference, table, reseeded)]
     assert texts[0] == texts[1], "table differs from the serial cells"
+    assert texts[1] == texts[2], "table depends on the scenario seed"
 
 
 def _check_table_emission_determinism():

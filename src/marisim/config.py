@@ -10,8 +10,10 @@ alternatives.  Every number must be finite.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .channel import DEFAULT_NOISE_DBW, PathLossParams, db2pow, pow2db
@@ -25,6 +27,13 @@ class ConfigError(ValueError):
 
 
 def _as_int(value, what: str) -> int:
+    """value as an int: an integer or integer text exactly, at any size; a
+    float or float text only when it is integral."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
     if not float(value).is_integer():   # also rejects nan and inf
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(float(value))
@@ -178,12 +187,15 @@ class ScenarioConfig:
 
 def _parse(kind, raw, what: str):
     """The one parse step, INI text or sweep value -> field value: bool
-    words, integers, or kind (float, a unit conversion or the sea-state
-    rule) applied to a float.  Non-finite numbers are rejected."""
+    words; integers and sea states, read from the text itself so that a
+    long integer stays exact; or kind (float or a unit conversion) applied
+    to a float.  Non-finite numbers are rejected."""
     try:
         if kind is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-        value = _as_int(raw, what) if kind is int else kind(float(raw))
+        value = (_as_int(raw, what) if kind is int
+                 else sea_level(raw) if kind is sea_level
+                 else kind(float(raw)))
         if not math.isfinite(value):
             raise ValueError(f"{what} must be finite")
         return value

@@ -5,15 +5,23 @@ point.  Buoys ride the surface vertically (heave only).  A direct link is
 line-of-sight when neither side's nearest wave crest cuts the ray between
 the two antennas.
 
-One kernel, _los_mask, holds that geometry.  It sizes its own buffers for
-the broadcast shape of its inputs, writes every step into them through
-in-place ufunc calls, and answers a flat sea at once.  los_state calls it
-once for a batch of buoys and returns the antenna heights it leaves next to
-the flags, so one pass over the sea gives both.  los_probability calls it
-per slice of LOS_CHUNK samples and reuses only its three draw buffers,
-which it fills slice by slice from three generators on one seed's stream,
-each advanced to the start of its run, so its memory does not grow with
-the sample count and its draws equal whole-array ones.
+One kernel, _los_mask, holds that geometry.  It takes the sine argument
+of each buoy, sizes its own buffers for the broadcast shape of its inputs,
+writes every step into them through in-place ufunc calls, and answers a
+flat sea at once.  los_state forms the two phases from the time and the
+buoys' distances from the wave source and calls it once for a batch of
+buoys; it returns the antenna heights the kernel leaves next to the flags,
+so one pass over the sea gives both.
+
+los_probability integrates the LoS set over the torus of the two buoys'
+phases.  A buoy's phase is uniform over a wave period whatever the time, and
+the two buoys' phases are independent, so the share of LoS instants is the
+area of that set.  It takes the area by a rank-1 lattice rule (Sloan & Joe,
+Lattice Methods for Multiple Integration, Oxford, 1994): N points, the k-th
+at the phases 2 pi (k + 1/2)/N and 2 pi ((k g mod N) + 1/2)/N, which is the
+Fibonacci lattice when N is a Fibonacci number.  It draws nothing and takes
+no seed, and it feeds the kernel LOS_CHUNK points at a time, so its memory
+does not grow with N.
 
 Which side of a buoy its nearest crest lies on depends only on the sign of
 cos(phase), for a phase in [0, 4 pi].  The kernel reads that sign from the
@@ -36,9 +44,13 @@ GRAVITY = 9.81  # m/s^2
 # Far enough away that wave fronts are locally planar over a ~1 km site.
 DEFAULT_WAVE_SOURCE = (-10_000.0, 0.0)
 
-# Samples per slice of the LoS sampler: small enough that every buffer of
-# one _los_mask call stays in cache.
+# Lattice points per slice of los_probability: small enough that every
+# buffer of one _los_mask call stays in cache.
 LOS_CHUNK = 8192
+
+# Largest lattice of los_probability: its index products k g stay below
+# N^2 < 2^63 in int64, and one cell of it takes a few seconds.
+MAX_LOS_SAMPLES = 10**8
 
 # Largest doubles below pi/2, 3 pi/2, 5 pi/2 and 7 pi/2 (see the module
 # docstring): the quadrant edges of the phase.
@@ -155,11 +167,10 @@ def _time_phase(wave: WaveField, t, out):
     return np.divide(out, wave.T_wave, out=out)
 
 
-def _wave_phase(d_src, extra_dist, time_phase, wave: WaveField, out):
+def _wave_phase(d_src, time_phase, wave: WaveField, out):
     """Sine argument, in [0, 4 pi], of a node d_src from the wave source,
-    written into out; extra_dist offsets the travelled distance."""
-    np.add(d_src, extra_dist, out=out)
-    np.mod(out, wave.l, out=out)
+    written into out."""
+    np.mod(d_src, wave.l, out=out)
     np.multiply(2.0 * np.pi, out, out=out)
     np.divide(out, wave.l, out=out)
     return np.add(out, time_phase, out=out)
@@ -205,21 +216,21 @@ def _side(node: FloatingNode, wave: WaveField) -> tuple:
             unit[..., 0], unit[..., 1])
 
 
-def _crest_geometry(side, peer, wave, time_phase, extra_dist, h, dist, tmp,
-                    bits):
-    """Write into h the antenna height of the side's node, and into dist the
-    horizontal distance from the peer's antenna to the node's nearest crest."""
+def _crest_geometry(side, peer, wave, phase, dist, tmp, bits):
+    """Turn phase, the sine argument of the side's node, in place into the
+    node's antenna height, and write into dist the horizontal distance from
+    the peer's antenna to the node's nearest crest."""
     d_src, mast, x, y, ux, uy = side
-    heave, shift = _heave_and_shift(
-        wave, _wave_phase(d_src, extra_dist, time_phase, wave, h), dist, *bits)
-    np.add(heave, mast, out=h)
+    heave, shift = _heave_and_shift(wave, phase, dist, *bits)
+    h = np.add(heave, mast, out=phase)
     np.multiply(shift, ux, out=tmp)
     np.add(x, tmp, out=tmp)
     np.subtract(peer[2], tmp, out=tmp)
     np.multiply(shift, uy, out=dist)
     np.add(y, dist, out=dist)
     np.subtract(peer[3], dist, out=dist)
-    return np.hypot(tmp, dist, out=dist)
+    np.hypot(tmp, dist, out=dist)
+    return h
 
 
 def _link_distance(tx: FloatingNode, rx: FloatingNode):
@@ -229,35 +240,31 @@ def _link_distance(tx: FloatingNode, rx: FloatingNode):
     return d
 
 
-def _los_mask(d, side_t, side_r, wave, t, off_t=0.0, off_r=0.0):
-    """(los, h_t, h_r) of a link, over time samples and per-buoy phase
-    offsets or over a batch of buoys: los is True where the ray clears both
-    nearest crests, and h_t and h_r are the two antenna heights.
+def _los_mask(d, side_t, side_r, wave, phase_t, phase_r):
+    """(los, h_t, h_r) of a link at the sine arguments phase_t and phase_r,
+    each in [0, 4 pi], of its two buoys, over phase samples or over a batch
+    of buoys: los is True where the ray clears both nearest crests, and h_t
+    and h_r are the two antenna heights.
 
     d, side_t and side_r are the link's per-call constants (_link_distance
-    and _side).  Each output has the broadcast shape of t, the offsets and
-    d; a flat sea is line-of-sight everywhere, at the two masts' heights.
+    and _side).  The phases are writable float arrays of one shape, which d
+    broadcasts to, and they are spent: the heights are written over them.
+    Each output has their shape; a flat sea is line-of-sight everywhere, at
+    the two masts' heights.
     """
-    shape = np.broadcast(t, off_t, off_r, d).shape
+    shape = phase_t.shape
     if wave.a == 0:
         return (np.ones(shape, dtype=bool),
                 np.full(shape, side_t[1], dtype=float),
                 np.full(shape, side_r[1], dtype=float))
-    time_phase, h_t, dist_t, h_r, dist_r, tmp = _scratch(6, shape)
+    dist_t, dist_r, tmp, top = _scratch(4, shape)
     bits = _scratch(2, shape, bool)
-    _time_phase(wave, t, time_phase)
-    _crest_geometry(side_t, side_r, wave, time_phase, off_t, h_t, dist_t, tmp,
-                    bits)
-    _crest_geometry(side_r, side_t, wave, time_phase, off_r, h_r, dist_r, tmp,
-                    bits)
+    h_t = _crest_geometry(side_t, side_r, wave, phase_t, dist_t, tmp, bits)
+    h_r = _crest_geometry(side_r, side_t, wave, phase_r, dist_r, tmp, bits)
     # arctan2 handles a crest exactly under the peer antenna (dist -> 0).
-    # The time phase is spent: its buffer takes each crest-top difference,
-    # so the antenna heights stay in h_t and h_r.
     phi_t = np.arctan2(np.subtract(h_r, h_t, out=tmp), d, out=tmp)
-    psi_t = np.arctan2(np.subtract(h_r, wave.a, out=time_phase), dist_t,
-                       out=dist_t)
-    psi_r = np.arctan2(np.subtract(h_t, wave.a, out=time_phase), dist_r,
-                       out=dist_r)
+    psi_t = np.arctan2(np.subtract(h_r, wave.a, out=top), dist_t, out=dist_t)
+    psi_r = np.arctan2(np.subtract(h_t, wave.a, out=top), dist_r, out=dist_r)
     mask = np.less_equal(phi_t, psi_t, out=bits[0])
     np.less_equal(np.negative(phi_t, out=phi_t), psi_r, out=bits[1])
     return np.logical_and(mask, bits[1], out=mask), h_t, h_r
@@ -269,32 +276,49 @@ def los_state(tx: FloatingNode, rx: FloatingNode, wave: WaveField, t):
     crests, and h_tx and h_rx are the two antenna heights above the mean sea
     level.  Each array is (I,) when tx or rx is a batch of I buoys, 0-d for
     two single buoys."""
-    return _los_mask(_link_distance(tx, rx), _side(tx, wave), _side(rx, wave),
-                     wave, t)
+    d = _link_distance(tx, rx)
+    side_t, side_r = _side(tx, wave), _side(rx, wave)
+    time_phase, phase_t, phase_r = _scratch(3, np.broadcast(t, d).shape)
+    _time_phase(wave, t, time_phase)
+    return _los_mask(d, side_t, side_r, wave,
+                     _wave_phase(side_t[0], time_phase, wave, phase_t),
+                     _wave_phase(side_r[0], time_phase, wave, phase_r))
+
+
+def _lattice_generator(n: int) -> int:
+    """Generator g of the n-point rank-1 lattice: the integer nearest
+    n (sqrt(5) - 1)/2, stepped down until it is coprime to n, so that
+    k -> k g mod n permutes the indices; for a Fibonacci n it is the
+    Fibonacci number before n."""
+    g = round(n * (math.sqrt(5.0) - 1.0) / 2.0)
+    while math.gcd(g, n) != 1:
+        g -= 1
+    return g
 
 
 def los_probability(tx: FloatingNode, rx: FloatingNode, wave: WaveField,
-                    samples: int, seed) -> float:
-    """Fraction of LoS instants of the Tx-Rx link over samples random times
-    and buoy phase offsets drawn from seed, judged LOS_CHUNK at a time."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+                    samples: int) -> float:
+    """Share of LoS instants of the Tx-Rx link over random times and buoy
+    positions: the LoS area of the torus of the two buoys' phases, by the
+    samples-point rank-1 lattice rule (see the module docstring), judged
+    LOS_CHUNK points at a time.  samples lies in [1, MAX_LOS_SAMPLES]."""
+    if not 1 <= samples <= MAX_LOS_SAMPLES:
+        raise ValueError(f"samples must lie in [1, {MAX_LOS_SAMPLES}]")
     d = _link_distance(tx, rx)
     side_t, side_r = _side(tx, wave), _side(rx, wave)
-    # the times and the two offsets are the three consecutive runs of
-    # `samples` draws of one generator; a generator on the same seed
-    # advanced to the start of each run draws that run slice by slice.
-    # uniform(0, span) returns 0 + span * random(), exactly span * random().
-    draws = [(np.random.Generator(np.random.PCG64(seed).advance(k * samples)),
-              span) for k, span in enumerate((wave.T_wave, wave.l, wave.l))]
-    buffers = _scratch(3, (min(samples, LOS_CHUNK),))
+    g, step = _lattice_generator(samples), 2.0 * np.pi / samples
+    first = np.arange(min(samples, LOS_CHUNK))
+    indices = _scratch(2, first.shape, np.int64)
+    phases = _scratch(2, first.shape)
     # the count is an exact integer, so the slicing cannot change the mean
     count = 0
     for s in range(0, samples, LOS_CHUNK):
         n = min(LOS_CHUNK, samples - s)
-        parts = [row[:n] for row in buffers]
-        for (gen, span), out in zip(draws, parts):
-            np.multiply(span, gen.random(out=out), out=out)
+        k, j, phase_t, phase_r = (row[:n] for row in (*indices, *phases))
+        np.add(first[:n], s, out=k)
+        np.remainder(np.multiply(k, g, out=j), samples, out=j)
+        np.multiply(np.add(k, 0.5, out=phase_t), step, out=phase_t)
+        np.multiply(np.add(j, 0.5, out=phase_r), step, out=phase_r)
         count += int(np.count_nonzero(
-            _los_mask(d, side_t, side_r, wave, *parts)[0]))
+            _los_mask(d, side_t, side_r, wave, phase_t, phase_r)[0]))
     return count / samples

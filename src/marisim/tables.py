@@ -7,6 +7,8 @@ of every column once, and write_blocks writes the blocks as they arrive.
 _ordered_map runs a sweep's trials, the LoS table's cells and a long table's
 blocks on forked helpers, results in item order; one gate, _map_width,
 sizes it for all three and keeps it in this process where forking is unsafe.
+Each LoS cell is a lattice integral over the wave phases, with no seed
+(sea_surface.los_probability), so that table depends only on its cells.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .sea_surface import FloatingNode
 FORMATS = ("csv", "structured")
 
 # Cells per sweep or LoS table: every cell is built before the first one
-# runs, a sweep cell's config at about 0.4 KB and a table cell at about
-# 0.35 KB, so either stays under about 4 MB.
+# runs, a sweep cell's config and a table cell's two nodes and wave at about
+# 0.4 KB each, so either stays under about 4 MB.
 MAX_CELLS = 10_000
 
 
@@ -110,17 +112,14 @@ def _ordered_map(fn, items, width: int):
 
 
 def _los_cells(cfg: ScenarioConfig, levels, heights) -> list:
-    """(tx, rx, wave, seed) of each LoS table cell, heights varying fastest,
-    cell (si, hi) seeded by (cfg.seed, si, hi)."""
+    """(tx, rx, wave) of each LoS table cell, heights varying fastest."""
     tx = FloatingNode(position=cfg.geometry.turbine_position,
                       mast_height=cfg.geometry.iot_mast_m)
     return [(tx,
              FloatingNode(position=cfg.geometry.rx_position, mast_height=h),
              sea_surface.wave_from_sea_state(sea_surface.sea_state(level),
-                                             cfg.geometry.wave_source),
-             [cfg.seed, si, hi])
-            for si, level in enumerate(levels)
-            for hi, h in enumerate(heights)]
+                                             cfg.geometry.wave_source))
+            for level in levels for h in heights]
 
 
 def los_probability_table(cfg: ScenarioConfig, states, heights,
@@ -129,11 +128,13 @@ def los_probability_table(cfg: ScenarioConfig, states, heights,
     as sea_state, h_r0_m and los_prob columns, heights varying fastest.
 
     The cells run through one ordered map on at most one process per cell
-    and per CPU.  Each cell draws from its own generator, seeded by
-    (cfg.seed, state index, height index), and its probability is an exact
-    count over samples, so the table is the same for any process count.
-    A table of more than MAX_CELLS cells raises ConfigError before any cell
-    is built."""
+    and per CPU.  Each cell's probability is a count over the same
+    samples-point lattice of wave phases, with no draw and no seed, so the
+    table depends on neither the scenario seed nor the process count.  The
+    sea_state column holds the levels as Python ints (an object array), so
+    a level past the int64 range is written as the integer it is.  A table
+    of more than MAX_CELLS cells raises ConfigError before any cell is
+    built."""
     levels = [int(level) for level in states]
     heights = [float(h) for h in heights]
     count = len(levels) * len(heights)
@@ -143,11 +144,11 @@ def los_probability_table(cfg: ScenarioConfig, states, heights,
     cells = _los_cells(cfg, levels, heights)
 
     def probability(cell):
-        tx, rx, wave, cell_seed = cell
-        return sea_surface.los_probability(tx, rx, wave, samples, cell_seed)
+        return sea_surface.los_probability(*cell, samples)
 
     probs = list(_ordered_map(probability, cells, _map_width(len(cells))))
-    return {"sea_state": np.repeat(levels, len(heights)),
+    return {"sea_state": np.repeat(np.array(levels, dtype=object),
+                                   len(heights)),
             "h_r0_m": np.tile(heights, len(levels)),
             "los_prob": np.array(probs)}
 

@@ -21,8 +21,8 @@ except ImportError:   # numpy 1.x
 
 import marisim
 from marisim import cli, harness, sea_surface, tables
-from marisim.cli import MAX_PATHLOSS_POINTS, main
-from marisim.config import load_config
+from marisim.cli import MAX_LOS_SAMPLES, MAX_PATHLOSS_POINTS, main
+from marisim.config import MAX_LENGTH_M, load_config
 from marisim.harness import RESULT_COLUMNS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -181,6 +181,30 @@ def test_los_prob_table(tmp_path, capsys):
     assert all(0.0 <= float(r["los_prob"]) <= 1.0 for r in rows)
 
 
+def test_los_prob_table_does_not_depend_on_the_seed(tmp_path):
+    texts = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}.csv"
+        assert main(["los-prob", "--states", "5,8", "--heights", "2,30",
+                     "--samples", "3000", "--seed", seed,
+                     "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_los_prob_writes_each_sea_state_as_its_integer(capsys):
+    # a level past the int64 range stays the integer given, in both formats
+    argv = ["los-prob", "--states", "3,9999999999999999999", "--heights", "2",
+            "--samples", "10"]
+    assert main(argv) == 0
+    assert [line.split(",")[0] for line in
+            capsys.readouterr().out.splitlines()] == [
+        "sea_state", "3", "9999999999999999999"]
+    assert main(argv + ["--format", "structured"]) == 0
+    assert [row["sea_state"] for row in
+            json.loads(capsys.readouterr().out)] == [3, 9999999999999999999]
+
+
 def test_pathloss_table_stdout(capsys):
     assert main(["pathloss", "--d-min", "100", "--d-max", "200",
                  "--points", "3"]) == 0
@@ -206,8 +230,8 @@ GOLDEN = [
      *PATHLOSS_SHA),
     (["los-prob", "--states", "3,8", "--heights", "2,30", "--samples", "4000",
       "--seed", "5"],
-     "8526fcc2a22790fa8509eee977c47335f2edaa57b4ff06dafdf17de0c129bda7",
-     "4b4da6fb76c1326db8ab96be26cd1fd6044484427720fc80490268020159d1e8"),
+     "a68d3daa3d66f636dd6fa1d73854d8ab6d0790f22d6ec3cc5045fb9c6bcc4677",
+     "4ae2d2fa11a21b810fa3e922a8e3e47e6e6ba08b9ff1bbd4bb2ea0775c12a56c"),
     (["sweep", "--var", "hr0", "--values", "5,7", "--trials", "2",
       "--seed", "4"],
      "042157030e87a8833d6a3b0335faba8912f5a087a650a072df38ce99e18e33f8",
@@ -248,6 +272,9 @@ def test_output_bytes_match_golden_hashes(argv, csv_sha, structured_sha,
     ["sweep", "--var", "hr0", "--values", "1e300"],
     ["los-prob", "--heights", "0"],                   # mast must be positive
     ["los-prob", "--heights", "inf"],
+    ["los-prob", "--heights", "1e300"],               # past the mast cap
+    ["los-prob", "--heights", f"2,{MAX_LENGTH_M * 1.001!r}"],
+    ["los-prob", "--samples", str(MAX_LOS_SAMPLES + 1)],
     ["pathloss", "--d-max", "inf"],
     ["pathloss", "--points", "100000000000"],         # a 745 GiB linspace
     ["pathloss", "--points", str(MAX_PATHLOSS_POINTS + 1)],

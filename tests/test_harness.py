@@ -789,6 +789,14 @@ def test_los_probability_table_shape_and_range():
     assert all(np.array_equal(table[c], again[c]) for c in table)
 
 
+def is_cell(rx, wave, cell):
+    """Whether a los_probability call is that of the (sea state, mast
+    height) cell, told by the wave period, which differs per state, and the
+    receiver's mast."""
+    level, h = cell
+    return (wave.T_wave, rx.mast_height) == (sea_state(level).period_mean, h)
+
+
 def per_cell_reference(cfg, states, heights, samples):
     """los_probability called cell by cell, in table order, in this thread."""
     tx = FloatingNode(position=cfg.geometry.turbine_position,
@@ -797,9 +805,8 @@ def per_cell_reference(cfg, states, heights, samples):
                 tx, FloatingNode(position=cfg.geometry.rx_position,
                                  mast_height=h),
                 wave_from_sea_state(sea_state(level), cfg.geometry.wave_source),
-                samples, seed=[cfg.seed, si, hi])
-            for si, level in enumerate(states)
-            for hi, h in enumerate(heights)]
+                samples)
+            for level in states for h in heights]
 
 
 @needs_fork
@@ -821,10 +828,10 @@ def test_los_probability_table_keeps_cell_order_when_cells_finish_late(
     reference = per_cell_reference(cfg, [3, 7], [2.0, 30.0], 300)
     calls = sea_surface.los_probability
 
-    def first_cell_slow(tx, rx, wave, samples, seed):
-        if seed[1:] == [0, 0]:
+    def first_cell_slow(tx, rx, wave, samples):
+        if is_cell(rx, wave, (3, 2.0)):
             time.sleep(0.2)   # the helper finishes its cells first
-        return calls(tx, rx, wave, samples, seed)
+        return calls(tx, rx, wave, samples)
 
     monkeypatch.setattr(sea_surface, "los_probability", first_cell_slow)
     set_cpus(monkeypatch, 2)
@@ -849,13 +856,13 @@ def test_los_probability_table_pool_is_capped_at_cells_and_cpus(
 
 
 def failing_cell(calls, cell):
-    """calls, the los_probability function, raising on one (state index,
-    height index) cell."""
+    """calls, the los_probability function, raising on one (sea state,
+    mast height) cell."""
 
-    def failing(tx, rx, wave, samples, seed):
-        if seed[1:] == cell:
-            raise FloatingPointError(f"overflow in cell {tuple(cell)}")
-        return calls(tx, rx, wave, samples, seed)
+    def failing(tx, rx, wave, samples):
+        if is_cell(rx, wave, cell):
+            raise FloatingPointError(f"overflow in cell {cell}")
+        return calls(tx, rx, wave, samples)
 
     return failing
 
@@ -864,13 +871,13 @@ def failing_cell(calls, cell):
 def test_failing_los_cell_propagates_and_leaves_no_helper(monkeypatch,
                                                           capsys):
     set_cpus(monkeypatch, 2)
-    # of the four cells on two processes, (0, 1) is the helper's and (1, 0)
-    # this process's
+    # of the four cells on two processes, (3, 30.0) is the helper's and
+    # (7, 2.0) this process's
     calls = sea_surface.los_probability
-    for cell in ([0, 1], [1, 0]):
+    for cell in ((3, 30.0), (7, 2.0)):
         monkeypatch.setattr(sea_surface, "los_probability",
                             failing_cell(calls, cell))
-        message = f"overflow in cell {tuple(cell)}"
+        message = f"overflow in cell {cell}"
         with pytest.raises(FloatingPointError, match=re.escape(message)):
             los_probability_table(small_cfg(), [3, 7], [2.0, 30.0],
                                   samples=50)
