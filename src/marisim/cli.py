@@ -1,7 +1,8 @@
 """Command-line front end: sweeps, LoS-probability and path-loss tables, and
 a built-in invariant suite.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure.  A
+reader that closes stdout early ends the output quietly, with exit code 0.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -92,10 +94,21 @@ def _parse_values(text: str, kind=float, what: str = "sweep value") -> list:
 
 
 def _write_output(blocks, out) -> None:
-    if out is None:
-        sys.stdout.writelines(blocks)
-    else:
+    """Write the blocks to the path out, or to stdout when out is None.  A
+    reader that closes stdout early (say `| head`) ends the output quietly:
+    the blocks are closed, which kills any forked emit helpers, and stdout
+    is pointed at the null device so the flush at exit cannot fail again."""
+    if out is not None:
         tables.write_blocks(blocks, out)
+        return
+    try:
+        sys.stdout.writelines(blocks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        blocks.close()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_sweep(cfg: ScenarioConfig, args) -> int:

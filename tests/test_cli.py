@@ -546,3 +546,30 @@ def test_console_script_entry_point(tiny_ini, tmp_path):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith(",".join(RESULT_COLUMNS))
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    """`marisim pathloss ... | head -1`: the reader closes the pipe after the
+    first line, and the writer stops with exit code 0, no traceback and no
+    config error, leaving no forked emit helper in its process group."""
+    if not hasattr(os, "killpg"):
+        pytest.skip("needs POSIX process groups")
+    cmd, env = console_script_argv()
+    err = tmp_path / "stderr.txt"
+    with open(err, "wb") as err_fh:
+        proc = subprocess.Popen(
+            [*cmd, "pathloss", "--points", "100000", "--format", "structured"],
+            stdout=subprocess.PIPE, stderr=err_fh, env=env,
+            start_new_session=True)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    stderr = err.read_text()
+    assert first == b"[\n"
+    assert code == 0, stderr
+    assert "Traceback" not in stderr and "config error" not in stderr
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -2,6 +2,7 @@
 the package: a renamed function or option fails here rather than only in a
 traced benchmark run or a user's shell."""
 
+import contextlib
 import csv
 import importlib
 import pathlib
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import marisim
-from marisim import cli, estimation, harness
+from marisim import cli, estimation, harness, ris_system
 from marisim.config import GeometryConfig, RadioConfig, ScenarioConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -34,23 +35,70 @@ def test_every_traced_name_resolves_to_a_callable(bench):
             f"{module}.{attr}"
 
 
-def test_every_capture_hook_resolves_to_a_callable(bench):
-    _, worker = bench
+@contextlib.contextmanager
+def installed_capture(worker):
+    """A worker.Capture installed on the marisim modules, with the list of
+    (module, attribute, original) it hooked, which is filled when the block
+    ends: every hook is undone then, also after a partial install."""
     modules = [importlib.import_module(f"marisim.{info.name}")
                for info in pkgutil.iter_modules(marisim.__path__)]
     before = [dict(vars(m)) for m in modules]
     hooked = []
     try:
-        worker.Capture().install()
+        capture = worker.Capture()
+        capture.install()
+        yield capture, hooked
     finally:
-        # undo the hooks, also after a partial install
         for module, names in zip(modules, before):
             for attr, value in names.items():
                 if getattr(module, attr) is not value:
                     hooked.append((module.__name__, attr, value))
                     setattr(module, attr, value)
+
+
+def test_every_capture_hook_resolves_to_a_callable(bench):
+    _, worker = bench
+    with installed_capture(worker) as (_, hooked):
+        pass
     assert len(hooked) == 4
     assert all(callable(value) for _, _, value in hooked), hooked
+
+
+@pytest.mark.parametrize("name", ["scaled", "full"])
+def test_benchmark_checks_pass_at_each_interval_workload(bench, name,
+                                                         tmp_path):
+    """What bench/worker.py checks of an interval workload, at its own
+    shape: the noiseless-estimation check, and check_interval and
+    check_sweep_row on three sweep rounds of the workload's INI run under
+    worker.Capture.  A change that breaks a call the benchmark makes fails
+    here, not only in a benchmark run."""
+    _, worker = bench
+    oracle = importlib.import_module("oracle")
+    workloads = importlib.import_module("workloads")
+    _, scenario, trials = workloads.WORKLOADS[name]
+    radio = scenario["radio"]
+    iots = max(1, round(scenario["geometry"]["mean_iot_count"]))
+    assert oracle.check_noiseless_estimation(
+        estimation, ris_system, radio["n_elements"], radio["m_antennas"],
+        iots, 1) == []
+    ini = tmp_path / f"{name}.ini"
+    ini.write_text(workloads.ini_text(scenario))
+    scored = 0
+    with installed_capture(worker) as (capture, _):
+        for r in range(3):
+            [(argv, out, _)] = workloads.round_commands(
+                name, str(ini), 1, r, str(tmp_path / name))
+            capture.intervals.clear()
+            assert cli.main(argv) == 0
+            done = list(capture.intervals)
+            assert len(done) == trials
+            for _, rec, cap in done:
+                assert oracle.check_interval(rec, cap, scenario) == []
+                scored += "true" in cap
+            rates = [(rec.rate_ris, rec.rate_noris) for _, rec, _ in done]
+            assert oracle.check_sweep_row(worker.read_csv(out)[0], rates,
+                                          trials) == []
+    assert scored > 0   # the checks of a scored interval ran
 
 
 def test_readme_experiment_commands_write_each_grid(tmp_path):
