@@ -1,8 +1,8 @@
 """Command-line front end: sweeps, LoS-probability and path-loss tables, and
 a built-in invariant suite.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.  A
-reader that closes stdout early ends the output quietly, with exit code 0.
+Exit codes: 0 success, 1 configuration or write error, 2 numerical failure.
+A reader that closes stdout early ends the output quietly, with exit code 0.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -93,22 +92,8 @@ def _parse_values(text: str, kind=float, what: str = "sweep value") -> list:
     return values
 
 
-def _write_output(blocks, out) -> None:
-    """Write the blocks to the path out, or to stdout when out is None.  A
-    reader that closes stdout early (say `| head`) ends the output quietly:
-    the blocks are closed, which kills any forked emit helpers, and stdout
-    is pointed at the null device so the flush at exit cannot fail again."""
-    if out is not None:
-        tables.write_blocks(blocks, out)
-        return
-    try:
-        sys.stdout.writelines(blocks)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        blocks.close()
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+# The one writer, tables.write_blocks, under the name every subcommand calls.
+_write_output = tables.write_blocks
 
 
 def _cmd_sweep(cfg: ScenarioConfig, args) -> int:
@@ -283,20 +268,22 @@ _CHECKS = (
 
 
 def _cmd_validate(cfg: ScenarioConfig, args) -> int:
-    failures = 0
-    for name, check in _CHECKS:
-        try:
-            check()
-        except Exception as exc:   # report it and run the other checks
-            failures += 1
-            print(f"FAIL - {name}: {type(exc).__name__}: {exc}")
-        else:
-            print(f"ok - {name}")
-    if failures:
-        print(f"{failures} of {len(_CHECKS)} checks failed")
-        return 2
-    print(f"all {len(_CHECKS)} checks passed")
-    return 0
+    failures = []
+
+    def lines():
+        for name, check in _CHECKS:
+            try:
+                check()
+            except Exception as exc:   # report it and run the other checks
+                failures.append(name)
+                yield f"FAIL - {name}: {type(exc).__name__}: {exc}\n"
+            else:
+                yield f"ok - {name}\n"
+        yield (f"{len(failures)} of {len(_CHECKS)} checks failed\n"
+               if failures else f"all {len(_CHECKS)} checks passed\n")
+
+    _write_output(lines())
+    return 2 if failures else 0
 
 
 _COMMANDS = {

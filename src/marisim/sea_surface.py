@@ -19,8 +19,8 @@ area of that set.  It takes the area by a rank-1 lattice rule (Sloan & Joe,
 Lattice Methods for Multiple Integration, Oxford, 1994): N points, the k-th
 at the phases 2 pi (k + 1/2)/N and 2 pi ((k g mod N) + 1/2)/N, which is the
 Fibonacci lattice when N is a Fibonacci number.  It draws nothing and takes
-no seed, and it writes the lattice LOS_CHUNK points at a time into two
-reused buffers, so its memory does not grow with N.
+no seed, and it judges the lattice LOS_CHUNK points at a time, so its
+memory does not grow with N.
 
 Which side of a buoy its nearest crest lies on depends only on the sign of
 cos(phase), for a phase in [0, 4 pi].  The kernel reads that sign from the
@@ -249,18 +249,12 @@ def los_probability(tx: FloatingNode, rx: FloatingNode, wave: WaveField,
     d = _link_distance(tx, rx)
     side_t, side_r = _side(tx, wave), _side(rx, wave)
     g, step = _lattice_generator(samples), 2.0 * np.pi / samples
-    first = np.arange(min(samples, LOS_CHUNK))
-    indices = np.empty((2, first.size), dtype=np.int64)
-    phases = np.empty((2, first.size))
     # the count is an exact integer, so the slicing cannot change the mean
     count = 0
     for s in range(0, samples, LOS_CHUNK):
-        n = min(LOS_CHUNK, samples - s)
-        k, j, phase_t, phase_r = (row[:n] for row in (*indices, *phases))
-        np.add(first[:n], s, out=k)
-        np.remainder(np.multiply(k, g, out=j), samples, out=j)
-        np.multiply(np.add(k, 0.5, out=phase_t), step, out=phase_t)
-        np.multiply(np.add(j, 0.5, out=phase_r), step, out=phase_r)
+        k = np.arange(s, min(s + LOS_CHUNK, samples))
+        phase_t = (k + 0.5) * step
+        phase_r = (k * g % samples + 0.5) * step
         count += int(np.count_nonzero(
             _los_mask(d, side_t, side_r, wave, phase_t, phase_r)[0]))
     return count / samples

@@ -3,7 +3,8 @@ CSV/JSON emission, and the one ordered process map every parallel path runs.
 
 A table maps each column name to an equal-length column.  format_table
 renders it as CSV or JSON in blocks of rows, formatting each block's slice
-of every column once, and write_blocks writes the blocks as they arrive.
+of every column once, and write_blocks, the one writer of marisim's
+output, writes text blocks to a file or stdout as they arrive.
 _ordered_map runs a sweep's trials, the LoS table's cells and a long table's
 blocks on forked helpers, results in item order; one gate, _map_width,
 sizes it for all three and keeps it in this process where forking is unsafe.
@@ -18,6 +19,7 @@ import functools
 import json
 import multiprocessing
 import os
+import sys
 import threading
 
 import numpy as np
@@ -252,20 +254,36 @@ def _blocks(table, structured: bool, width=None):
     yield end
 
 
-def write_blocks(blocks, path) -> None:
-    """Write text blocks to path as they arrive; I/O errors carry the path.
-
-    When the blocks or the writing fail part-way, a regular file at path is
-    removed, so no short table is left behind; a device or FIFO is kept."""
-    opened = False
+def write_blocks(blocks, path=None) -> None:
+    """Write a generator of text blocks to path, or to stdout when path is
+    None, as they arrive, and close it however the writing ends, which kills
+    any forked emit helper.  A reader that closes stdout early ends the
+    output quietly; any other I/O error raises ConfigError naming path or
+    stdout, and after either, fd 1 is the null device, so the flush at exit
+    cannot fail again.  A part-way failure removes a regular file at path,
+    leaving no short table, but keeps a device or FIFO."""
+    opened = False   # a file at path
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            opened = True
-            fh.writelines(blocks)
+        with contextlib.closing(blocks), (
+                contextlib.nullcontext(sys.stdout) if path is None
+                else open(path, "w", encoding="utf-8", newline="")) as fh:
+            opened = path is not None
+            # flushed block by block: multiprocessing flushes stdout before
+            # each fork, and a write error must surface here, not there
+            for block in blocks:
+                fh.write(block)
+                fh.flush()
     except BaseException as exc:
+        if path is None and isinstance(exc, OSError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                return
         if opened and os.path.isfile(path):
             with contextlib.suppress(OSError):   # keep the first error
                 os.remove(path)
         if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
+            where = "stdout" if path is None else path
+            raise ConfigError(f"cannot write {where}: {exc}") from exc
         raise

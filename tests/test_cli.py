@@ -548,28 +548,74 @@ def test_console_script_entry_point(tiny_ini, tmp_path):
     assert out.read_text().startswith(",".join(RESULT_COLUMNS))
 
 
-def test_closed_stdout_pipe_ends_quietly(tmp_path):
-    """`marisim pathloss ... | head -1`: the reader closes the pipe after the
-    first line, and the writer stops with exit code 0, no traceback and no
-    config error, leaving no forked emit helper in its process group."""
+def buffered_env(env) -> dict:
+    """env, or this process's environment, without PYTHONUNBUFFERED, so the
+    child's stdout is block-buffered as in a shell: output still buffered
+    after a failed write would then fail again at the flush at exit."""
+    return {k: v for k, v in (env or os.environ).items()
+            if k != "PYTHONUNBUFFERED"}
+
+
+def first_line_then_close(argv, tmp_path):
+    """Run the console script with argv in its own session, read the first
+    line of its stdout and close the pipe; (that line, the exit code, the
+    stderr text, the process group id)."""
     if not hasattr(os, "killpg"):
         pytest.skip("needs POSIX process groups")
     cmd, env = console_script_argv()
     err = tmp_path / "stderr.txt"
     with open(err, "wb") as err_fh:
-        proc = subprocess.Popen(
-            [*cmd, "pathloss", "--points", "100000", "--format", "structured"],
-            stdout=subprocess.PIPE, stderr=err_fh, env=env,
-            start_new_session=True)
+        proc = subprocess.Popen([*cmd, *argv], stdout=subprocess.PIPE,
+                                stderr=err_fh, env=buffered_env(env),
+                                start_new_session=True)
     try:
         first = proc.stdout.readline()
         proc.stdout.close()
         code = proc.wait(timeout=120)
     finally:
         proc.kill()
-    stderr = err.read_text()
+    return first, code, err.read_text(), proc.pid
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    """`marisim pathloss ... | head -1`: the reader closes the pipe after the
+    first line, and the writer stops with exit code 0, no traceback and no
+    config error, leaving no forked emit helper in its process group."""
+    first, code, stderr, pgid = first_line_then_close(
+        ["pathloss", "--points", "100000", "--format", "structured"],
+        tmp_path)
     assert first == b"[\n"
     assert code == 0, stderr
     assert "Traceback" not in stderr and "config error" not in stderr
     with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
+        os.killpg(pgid, 0)
+
+
+def test_closed_stdout_pipe_ends_validate_quietly(tmp_path):
+    """`marisim validate | head -1`: its sweep check forks helpers, and the
+    report still ends with exit code 0, no traceback and no process left."""
+    first, code, stderr, pgid = first_line_then_close(["validate"], tmp_path)
+    assert first == b"ok - estimation exact recovery\n"
+    assert code == 0, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pgid, 0)
+
+
+@pytest.mark.parametrize("argv", [["pathloss", "--points", "1000"],
+                                  ["validate"]], ids=["pathloss", "validate"])
+def test_stdout_write_error_is_one_config_error(argv):
+    """`marisim ... > /dev/full` exits 1 with one config error line, as
+    `--out /dev/full` does, and no traceback."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    cmd, env = console_script_argv()
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([*cmd, *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True,
+                              env=buffered_env(env), timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("config error: cannot write stdout: "), line
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

@@ -630,6 +630,11 @@ def test_closing_blocks_early_stops_every_helper(monkeypatch, tmp_path):
                          "--out", "/dev/full"]) == 1
         assert multiprocessing.active_children() == []
         assert stat.S_ISCHR(os.stat("/dev/full").st_mode)   # never removed
+        # the writer closes the blocks itself, though the caller holds them
+        _, blocks = started_blocks(mixed_table(3 * tables.BLOCKS_PER_PROCESS))
+        with pytest.raises(ConfigError, match="cannot write /dev/full"):
+            write_blocks(blocks, "/dev/full")
+        assert multiprocessing.active_children() == []
 
 
 @needs_fork
@@ -944,3 +949,24 @@ def test_tables_and_harness_keep_to_their_own_concerns():
         {"json", "multiprocessing", "threading", "os"})
     assert {"channel", "sea_surface", "config"} <= imported_modules(tables)
     assert {"tables", "optimizer", "contextlib"} <= imported_modules(harness)
+
+
+def test_only_write_blocks_writes_to_stdout():
+    # one writer for every table and the validate report: no other code
+    # names stdout, and every print goes to stderr
+    lines, first = inspect.getsourcelines(tables.write_blocks)
+    writer = range(first, first + len(lines))
+    package = os.path.dirname(tables.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            where = f"{name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr == "stdout":
+                assert name == "tables.py" and node.lineno in writer, where
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "print"):
+                assert [ast.unparse(k.value) for k in node.keywords
+                        if k.arg == "file"] == ["sys.stderr"], where

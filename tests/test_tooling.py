@@ -133,9 +133,9 @@ def test_readme_experiment_commands_write_each_grid(tmp_path):
 
 def test_readme_library_example_runs_as_written(capsys):
     """The README's library use, executed as written: it prints one mean
-    rate and then a sweep's table through format_table, so neither the
-    documented calls nor the modules they are imported from can drift from
-    the API."""
+    rate and then writes a sweep's table through format_table and
+    write_blocks, so neither the documented calls nor the modules they are
+    imported from can drift from the API."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use")[1].split("\n## ")[0]
     [block] = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
